@@ -381,8 +381,6 @@ parseArgs(int argc, char **argv)
                 tps_fatal("--event-trace needs a path");
         } else if (std::strcmp(arg, "--profile") == 0) {
             opts.profile = true;
-        } else if (std::strcmp(arg, "--reference-path") == 0) {
-            opts.referencePath = true;
         } else if (std::strcmp(arg, "--mem-telemetry") == 0) {
             opts.memTelemetry = true;
         } else if (std::strncmp(arg, "--footprint=", 12) == 0) {
@@ -415,7 +413,7 @@ parseArgs(int argc, char **argv)
                 "--benchmarks=a,b,c --epochs=<n> --stats-json=<path> "
                 "--trace=<path> --progress --paranoid --check-every=<n> "
                 "--cell-timeout=<sec> --retries=<n> --resume "
-                "--event-trace=<path> --profile --reference-path "
+                "--event-trace=<path> --profile "
                 "--mem-telemetry --footprint=<size[kmgt]> "
                 "--dense-state --shard=i/N --heartbeat=<path> "
                 "--heartbeat-interval=<sec>\n");
@@ -467,7 +465,6 @@ makeRun(const FigOptions &opts, const std::string &wl,
     run.paranoid = opts.paranoid;
     run.checkEvery = opts.checkEvery;
     run.cellTimeoutSeconds = opts.cellTimeout;
-    run.referencePath = opts.referencePath;
     run.memTelemetry = opts.memTelemetry;
     run.footprintBytes = opts.footprintBytes;
     run.denseState = opts.denseState;

@@ -41,7 +41,6 @@ struct FigOptions
     bool resume = false;       //!< skip cells already in --stats-json
     std::string eventTracePath; //!< write a binary event trace here
     bool profile = false;      //!< dump simulator self-profile to stderr
-    bool referencePath = false; //!< force the reference translate loop
     bool memTelemetry = false;  //!< record physical-memory telemetry
     //! Workload footprint override in bytes (0 = workload default);
     //! physical capacity grows to fit automatically.
@@ -59,10 +58,9 @@ struct FigOptions
  * --benchmarks=a,b,c, --epochs=<n>, --stats-json=<path>,
  * --trace=<path>, --progress, --paranoid, --check-every=<n>,
  * --cell-timeout=<sec>, --retries=<n>, --resume,
- * --event-trace=<path>, --profile, --reference-path,
- * --mem-telemetry, --footprint=<size[kmgt]>, --dense-state,
- * --shard=i/N, --heartbeat=<path>, --heartbeat-interval=<sec>.
- * Values are parsed
+ * --event-trace=<path>, --profile, --mem-telemetry,
+ * --footprint=<size[kmgt]>, --dense-state, --shard=i/N,
+ * --heartbeat=<path>, --heartbeat-interval=<sec>.  Values are parsed
  * strictly (trailing garbage, out-of-range, or nonsensical values like
  * --jobs=0 are rejected with a one-line error); unknown flags are fatal.
  */

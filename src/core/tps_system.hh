@@ -70,8 +70,8 @@ struct RunOptions
     uint64_t epochAccesses = 0;    //!< epoch-sample interval (0 = off)
     bool paranoid = false;         //!< full invariant check after the run
     uint64_t checkEvery = 0;       //!< in-run invariant-check interval
-    bool referencePath = false;    //!< force the reference translate loop
-    uint64_t chunkAccesses = 0;    //!< fast-path batch size (0 = default)
+    bool referencePath = false;    //!< per-access oracle translate kernel
+    uint64_t chunkAccesses = 0;    //!< engine batch size (0 = default)
     double cellTimeoutSeconds = 0; //!< per-cell wall-clock budget (0 = none)
     //! Record physical-memory telemetry (obs/mem_telemetry.hh) into
     //! SimStats::mem.  Part of cell identity: it adds a "mem" section

@@ -18,10 +18,6 @@ profPhaseName(ProfPhase p)
         return "walk";
       case ProfPhase::OsFault:
         return "os-fault";
-      case ProfPhase::MemAccess:
-        return "mem-access";
-      case ProfPhase::CycleModel:
-        return "cycle-model";
     }
     return "?";
 }

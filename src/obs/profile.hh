@@ -25,19 +25,21 @@ namespace tps::obs {
 
 class StatRegistry;
 
-/** The simulator phases the engine/MMU time. */
+/**
+ * The simulator phases the engine/MMU time.  The engine times whole
+ * chunks, never single accesses, so profiling runs the same loop as an
+ * unprofiled cell.
+ */
 enum class ProfPhase : unsigned
 {
     Setup,        //!< workload setup (mmap + initialization planning)
-    WorkloadNext, //!< generating the next access
-    Translate,    //!< Mmu::access (includes Walk and OsFault below)
+    WorkloadNext, //!< generating one chunk of accesses
+    Translate,    //!< translating one chunk: MMU, memsys, cycle model
     Walk,         //!< hardware page walks inside Translate
     OsFault,      //!< OS fault handling (allocator) inside Translate
-    MemAccess,    //!< data-side cache model
-    CycleModel,   //!< timing model update
 };
 
-constexpr unsigned kProfPhaseCount = 7;
+constexpr unsigned kProfPhaseCount = 5;
 
 /** Printable phase name ("setup", "workload-next", ...). */
 const char *profPhaseName(ProfPhase p);

@@ -103,9 +103,10 @@ runOptionsJson(const core::RunOptions &opts)
     if (opts.footprintBytes != 0)
         j["footprintBytes"] = opts.footprintBytes;
     // referencePath and chunkAccesses are deliberately absent: they
-    // select how the translate loop executes, never what it computes
-    // (the differential suite proves this), and leaving them out keeps
-    // fast-path and reference-path manifests byte-identical.  The same
+    // select the chunk size and translate kernel of the one engine
+    // loop, never what it computes (the differential suite proves
+    // this), and leaving them out keeps manifests from the batched
+    // kernel and the per-access oracle byte-identical.  The same
     // goes for denseState: sparse and dense are alternate host
     // representations of identical simulated state (the sparse golden
     // suite proves bit-identical stats), so it is never serialized.

@@ -173,6 +173,113 @@ Engine::registerStats(obs::StatRegistry &reg)
     as_->registerStats(reg, "os");
 }
 
+namespace {
+
+/** The devirtualized translate: the L1 probe chain fixed at compile time. */
+template <bool HasColt, bool HasSmall, int TpsKind, bool HasLarge>
+struct FastKernel
+{
+    static MmuAccessResult
+    access(Mmu &mmu, vm::Vaddr va, bool write)
+    {
+        return mmu.accessFast<HasColt, HasSmall, TpsKind, HasLarge>(va,
+                                                                    write);
+    }
+};
+
+/** The oracle translate: virtual TLB dispatch through Mmu::access. */
+struct OracleKernel
+{
+    static MmuAccessResult
+    access(Mmu &mmu, vm::Vaddr va, bool write)
+    {
+        return mmu.access(va, write);
+    }
+};
+
+} // namespace
+
+template <class Kernel, bool Traced>
+void
+Engine::translateChunk(const MemAccess *acc, size_t count,
+                       uint64_t &trace_time, ChunkDelta &d)
+{
+    const TlbTimingMode timing = cfg_.timing;
+    const unsigned stlb_penalty = cfg_.mmu.stlbHitPenalty;
+    for (size_t i = 0; i < count; ++i) {
+        // The trace clock is the global access ordinal (any thread),
+        // 1-based, and keeps counting across the warmup boundary.
+        if constexpr (Traced)
+            trace_->setTime(++trace_time);
+        MmuAccessResult res = Kernel::access(*mmu_, acc[i].va, acc[i].write);
+        unsigned mem_cycles = memsys_.access(res.pa);
+        unsigned translation = res.translationCycles;
+        if (timing == TlbTimingMode::PerfectL1)
+            translation = 0;
+        else if (timing == TlbTimingMode::PerfectL2)
+            translation = res.level == tlb::TlbHitLevel::L1
+                              ? 0
+                              : stlb_penalty;
+        cycle_.onAccess(translation, mem_cycles, acc[i].dependsOnPrev);
+        if (res.level != tlb::TlbHitLevel::L1) {
+            ++d.l1TlbMisses;
+            if (res.level == tlb::TlbHitLevel::L2) {
+                ++d.l2TlbHits;
+                d.stlbPenaltyCycles += translation;
+            } else {
+                ++d.tlbMisses;
+                d.walkCycles += translation;
+            }
+        }
+        if (res.faulted) [[unlikely]]
+            ++d.faults;
+    }
+}
+
+template <class Kernel>
+void
+Engine::translateWith(const MemAccess *acc, size_t count,
+                      uint64_t &trace_time, ChunkDelta &d)
+{
+    if (trace_)
+        translateChunk<Kernel, true>(acc, count, trace_time, d);
+    else
+        translateChunk<Kernel, false>(acc, count, trace_time, d);
+}
+
+void
+Engine::dispatchChunk(const MemAccess *acc, size_t count,
+                      uint64_t &trace_time, ChunkDelta &d)
+{
+    // One instantiation per (kernel, traced) pair, the fast kernels one
+    // per L1 structure set; the selection runs once per chunk, not per
+    // access.
+    obs::ScopedTimer timer(profile_, obs::ProfPhase::Translate);
+    if (cfg_.referencePath) {
+        translateWith<OracleKernel>(acc, count, trace_time, d);
+        return;
+    }
+    switch (mmu_->tlbs().design()) {
+      case tlb::TlbDesign::Colt:
+        translateWith<FastKernel<true, false, 0, true>>(acc, count,
+                                                        trace_time, d);
+        break;
+      case tlb::TlbDesign::Tps:
+        if (cfg_.mmu.tlb.tpsTlbSkewed)
+            translateWith<FastKernel<false, true, 2, false>>(
+                acc, count, trace_time, d);
+        else
+            translateWith<FastKernel<false, true, 1, false>>(
+                acc, count, trace_time, d);
+        break;
+      case tlb::TlbDesign::Baseline:
+      case tlb::TlbDesign::Rmm:
+        translateWith<FastKernel<false, true, 0, true>>(acc, count,
+                                                        trace_time, d);
+        break;
+    }
+}
+
 SimStats
 Engine::run()
 {
@@ -183,30 +290,17 @@ Engine::run()
             w->setup(*this);
     }
 
-    // The fast path handles the common single-thread configuration;
-    // SMT round-robin, self-profiling (which wants the per-phase
-    // timers inside the loop) and non-batchable generators keep the
-    // reference loop.
-    bool fast = !cfg_.referencePath && workloads_.size() == 1 &&
-                !profile_ && workloads_[0]->batchable();
-    return fast ? runFast() : runReference();
-}
-
-SimStats
-Engine::runReference()
-{
     stats_ = SimStats{};
     SimStats &stats = stats_;
     stats.epochInterval = cfg_.epochAccesses;
-    unsigned n = static_cast<unsigned>(workloads_.size());
-    std::vector<bool> done(n, false);
+    workloads::Workload &primary = *workloads_[0];
+    unsigned primary_ipa = primary.info().instsPerAccess;
     uint64_t primary_accesses = 0;
-    unsigned primary_ipa = workloads_[0]->info().instsPerAccess;
 
     // The primary thread's first warmupAccesses() accesses are the
     // program initializing its memory; statistics reset afterwards so
     // the figures report steady-state behaviour.
-    uint64_t warmup_target = workloads_[0]->warmupAccesses();
+    uint64_t warmup_target = primary.warmupAccesses();
     bool in_warmup = warmup_target > 0;
 
     // Epoch sampling: take_epoch() pushes the deltas since the last
@@ -231,14 +325,13 @@ Engine::runReference()
                           stats.l2TlbHits, stats.tlbMisses, walk_refs,
                           stats.walkCycles, stats.faults,
                           cycle_.cycles(), os_cycles};
-        // Physical-memory telemetry rides the same boundary ordinals,
-        // so its series is identical across the fast/reference paths.
+        // Physical-memory telemetry rides the same boundary ordinals.
         if (memTel_)
             memTel_->sample(*as_, primary_accesses);
     };
 
     // Paranoid-mode support: periodic invariant sweeps and a
-    // cooperative wall-clock budget, both tested on primary-access
+    // cooperative wall-clock budget, both tested on primary-chunk
     // boundaries so they cost one branch when disabled.  Frames an
     // external holder (the fragmenter) took straight from the buddy
     // allocator are snapshotted here as the accounting baseline.
@@ -264,127 +357,139 @@ Engine::runReference()
                            cfg_.timeoutSeconds));
     }
 
+    // SMT threads interleave one access per round, a non-batchable
+    // generator must be stepped one access at a time, and the oracle
+    // is per-access by definition; everything else runs in chunks.
+    size_t n = workloads_.size();
+    bool single_step =
+        cfg_.referencePath || n > 1 || !primary.batchable();
+    uint64_t chunk_cap = single_step ? 1 : std::max<uint64_t>(
+                                               cfg_.chunkAccesses, 1);
+    std::vector<MemAccess> buf(chunk_cap);
+    // SMT competitors not yet exhausted, in thread order.
+    std::vector<workloads::Workload *> live(workloads_.begin() + 1,
+                                            workloads_.end());
+
     bool running = true;
     while (running) {
-        for (unsigned t = 0; t < n; ++t) {
-            if (done[t])
-                continue;
-            MemAccess acc;
-            bool more;
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::WorkloadNext);
-                more = workloads_[t]->next(acc);
-            }
-            if (!more) {
-                done[t] = true;
-                if (t == 0)
-                    running = false;
-                continue;
-            }
-            // The trace clock is the global access ordinal (any
-            // thread), 1-based, and keeps counting across the warmup
-            // boundary.
-            if (trace_)
-                trace_->setTime(++trace_time);
-            MmuAccessResult res;
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::Translate);
-                res = mmu_->access(acc.va, acc.write);
-            }
-            unsigned mem_cycles;
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::MemAccess);
-                mem_cycles = memsys_.access(res.pa);
-            }
+        // Clamp the chunk so every boundary action -- the warmup stat
+        // reset, maxAccesses stop, epoch snapshot and checker sweep --
+        // lands on the exact primary access ordinal, whatever the
+        // chunk size.
+        uint64_t limit = chunk_cap;
+        if (in_warmup) {
+            limit = std::min(limit, warmup_target - primary_accesses);
+        } else {
+            // >= comparison in the stop test: when the cap is already
+            // met (maxAccesses == 0), one access still runs before the
+            // stop.
+            uint64_t rem = cfg_.maxAccesses > primary_accesses
+                               ? cfg_.maxAccesses - primary_accesses
+                               : 1;
+            limit = std::min(limit, rem);
+            if (cfg_.epochAccesses != 0)
+                limit = std::min(
+                    limit, cfg_.epochAccesses -
+                               (primary_accesses - eprev.accesses));
+        }
+        if (checker)
+            limit = std::min(limit, cfg_.checkEveryAccesses -
+                                        accesses_since_check);
 
-            unsigned translation = res.translationCycles;
-            switch (cfg_.timing) {
-              case TlbTimingMode::Real:
-                break;
-              case TlbTimingMode::PerfectL1:
-                translation = 0;
-                break;
-              case TlbTimingMode::PerfectL2:
-                translation = res.level == tlb::TlbHitLevel::L1
-                                  ? 0
-                                  : cfg_.mmu.stlbHitPenalty;
-                break;
-            }
-            {
-                obs::ScopedTimer timer(profile_,
-                                       obs::ProfPhase::CycleModel);
-                cycle_.onAccess(translation, mem_cycles,
-                                acc.dependsOnPrev);
-            }
+        size_t got;
+        {
+            obs::ScopedTimer timer(profile_,
+                                   obs::ProfPhase::WorkloadNext);
+            got = primary.nextBatch(buf.data(),
+                                    static_cast<size_t>(limit));
+        }
+        if (got == 0) {
+            running = false;
+        } else {
+            ChunkDelta d;
+            dispatchChunk(buf.data(), got, trace_time, d);
+            primary_accesses += got;
+            stats.l1TlbMisses += d.l1TlbMisses;
+            stats.l2TlbHits += d.l2TlbHits;
+            stats.stlbPenaltyCycles += d.stlbPenaltyCycles;
+            stats.tlbMisses += d.tlbMisses;
+            stats.walkCycles += d.walkCycles;
+            stats.faults += d.faults;
 
-            if (t == 0) {
-                ++primary_accesses;
-                if (res.level != tlb::TlbHitLevel::L1) {
-                    ++stats.l1TlbMisses;
-                    if (res.level == tlb::TlbHitLevel::L2) {
-                        ++stats.l2TlbHits;
-                        stats.stlbPenaltyCycles += translation;
-                    } else {
-                        ++stats.tlbMisses;
-                        stats.walkCycles += translation;
-                    }
-                }
-                if (res.faulted)
-                    ++stats.faults;
-
-                if (in_warmup && primary_accesses >= warmup_target) {
-                    in_warmup = false;
-                    stats.warmup.accesses = primary_accesses;
-                    stats.warmup.cycles = cycle_.cycles();
-                    stats.warmup.osCycles = as_->osWork().totalCycles();
-                    stats.warmup.faults = stats.faults;
-                    primary_accesses = 0;
-                    stats.l1TlbMisses = 0;
-                    stats.l2TlbHits = 0;
-                    stats.tlbMisses = 0;
-                    stats.stlbPenaltyCycles = 0;
-                    stats.walkCycles = 0;
-                    stats.faults = 0;
-                    mmu_->clearStats();
-                    memsys_.clearStats();
-                    cycle_.reset();
-                    // Post-Mark events are the measured phase; the
-                    // trace clock itself is not reset.
-                    if (trace_)
-                        trace_->mark(obs::kMarkWarmupEnd);
-                    // Epoch deltas restart at the measured phase;
-                    // osWork is not reset, so carry its baseline.
-                    eprev = EpochPrev{};
-                    eprev.osCycles = stats.warmup.osCycles;
-                    // Baseline telemetry sample at the seam.
-                    if (memTel_)
-                        memTel_->sample(*as_, 0);
-                } else if (!in_warmup &&
-                           primary_accesses >= cfg_.maxAccesses) {
-                    running = false;
-                    done[0] = true;
-                }
-                if (cfg_.epochAccesses != 0 && !in_warmup &&
-                    primary_accesses - eprev.accesses >=
-                        cfg_.epochAccesses) {
-                    take_epoch();
-                }
-                if (checker && ++accesses_since_check >=
-                                   cfg_.checkEveryAccesses) {
+            if (in_warmup && primary_accesses >= warmup_target) {
+                in_warmup = false;
+                stats.warmup.accesses = primary_accesses;
+                stats.warmup.cycles = cycle_.cycles();
+                stats.warmup.osCycles = as_->osWork().totalCycles();
+                stats.warmup.faults = stats.faults;
+                primary_accesses = 0;
+                stats.l1TlbMisses = 0;
+                stats.l2TlbHits = 0;
+                stats.tlbMisses = 0;
+                stats.stlbPenaltyCycles = 0;
+                stats.walkCycles = 0;
+                stats.faults = 0;
+                mmu_->clearStats();
+                memsys_.clearStats();
+                cycle_.reset();
+                // Post-Mark events are the measured phase; the trace
+                // clock itself is not reset.
+                if (trace_)
+                    trace_->mark(obs::kMarkWarmupEnd);
+                // Epoch deltas restart at the measured phase; osWork
+                // is not reset, so carry its baseline.
+                eprev = EpochPrev{};
+                eprev.osCycles = stats.warmup.osCycles;
+                // Baseline telemetry sample at the seam.
+                if (memTel_)
+                    memTel_->sample(*as_, 0);
+            } else if (!in_warmup &&
+                       primary_accesses >= cfg_.maxAccesses) {
+                running = false;
+            }
+            if (cfg_.epochAccesses != 0 && !in_warmup &&
+                primary_accesses - eprev.accesses >=
+                    cfg_.epochAccesses) {
+                take_epoch();
+            }
+            if (checker) {
+                accesses_since_check += got;
+                if (accesses_since_check >= cfg_.checkEveryAccesses) {
                     accesses_since_check = 0;
                     checker->throwIfBad();
                 }
-                if (cfg_.timeoutSeconds > 0.0 &&
-                    (++accesses_since_clock & 0xfff) == 0 &&
-                    std::chrono::steady_clock::now() > deadline) {
+            }
+            // The wall-clock budget is inherently non-deterministic;
+            // read the clock at most once per 4096 primary accesses.
+            if (cfg_.timeoutSeconds > 0.0 &&
+                (accesses_since_clock += got) >= 4096) {
+                accesses_since_clock = 0;
+                if (std::chrono::steady_clock::now() > deadline) {
                     throwSimError(ErrorKind::Timeout,
                                   "cell exceeded its %.3g s wall-clock "
                                   "budget", cfg_.timeoutSeconds);
                 }
             }
+        }
+
+        // Each live competitor then takes one access, also in the round
+        // that ends the run.  It ticks the trace clock and the shared
+        // cycle model but never the primary's counters.
+        for (auto it = live.begin(); it != live.end();) {
+            MemAccess acc;
+            bool more;
+            {
+                obs::ScopedTimer timer(profile_,
+                                       obs::ProfPhase::WorkloadNext);
+                more = (*it)->next(acc);
+            }
+            if (!more) {
+                it = live.erase(it);
+                continue;
+            }
+            ChunkDelta discard;
+            dispatchChunk(&acc, 1, trace_time, discard);
+            ++it;
         }
     }
 
@@ -411,284 +516,13 @@ Engine::runReference()
     // Primary-thread walk references: in single-thread runs this is the
     // MMU total; under SMT we approximate by scaling with the primary's
     // share of walks (per-thread attribution of shared-walker refs).
-    if (workloads_.size() == 1) {
+    if (n == 1) {
         stats.walkMemRefs = stats.mmu.walkMemRefs;
     } else {
-        double share =
-            ratio(stats.tlbMisses, stats.mmu.walks);
+        double share = ratio(stats.tlbMisses, stats.mmu.walks);
         stats.walkMemRefs = static_cast<uint64_t>(
             share * static_cast<double>(stats.mmu.walkMemRefs));
     }
-    return stats;
-}
-
-template <bool HasColt, bool HasSmall, int TpsKind, bool HasLarge,
-          bool Traced>
-void
-Engine::translateChunk(const MemAccess *acc, size_t count,
-                       uint64_t &trace_time, ChunkDelta &d)
-{
-    const TlbTimingMode timing = cfg_.timing;
-    const unsigned stlb_penalty = cfg_.mmu.stlbHitPenalty;
-    for (size_t i = 0; i < count; ++i) {
-        // Same trace-clock semantics as the reference loop: one tick
-        // per access, advanced only while a trace is attached.
-        if constexpr (Traced)
-            trace_->setTime(++trace_time);
-        MmuAccessResult res =
-            mmu_->accessFast<HasColt, HasSmall, TpsKind, HasLarge>(
-                acc[i].va, acc[i].write);
-        unsigned mem_cycles = memsys_.access(res.pa);
-        unsigned translation = res.translationCycles;
-        if (timing == TlbTimingMode::PerfectL1)
-            translation = 0;
-        else if (timing == TlbTimingMode::PerfectL2)
-            translation = res.level == tlb::TlbHitLevel::L1
-                              ? 0
-                              : stlb_penalty;
-        cycle_.onAccess(translation, mem_cycles, acc[i].dependsOnPrev);
-        if (res.level != tlb::TlbHitLevel::L1) {
-            ++d.l1TlbMisses;
-            if (res.level == tlb::TlbHitLevel::L2) {
-                ++d.l2TlbHits;
-                d.stlbPenaltyCycles += translation;
-            } else {
-                ++d.tlbMisses;
-                d.walkCycles += translation;
-            }
-        }
-        if (res.faulted) [[unlikely]]
-            ++d.faults;
-    }
-}
-
-void
-Engine::dispatchChunk(const MemAccess *acc, size_t count,
-                      uint64_t &trace_time, ChunkDelta &d)
-{
-    // One instantiation per (L1 structure set, traced) combination;
-    // the selection runs once per chunk, not per access.
-    bool traced = trace_ != nullptr;
-    switch (mmu_->tlbs().design()) {
-      case tlb::TlbDesign::Colt:
-        if (traced)
-            translateChunk<true, false, 0, true, true>(acc, count,
-                                                       trace_time, d);
-        else
-            translateChunk<true, false, 0, true, false>(acc, count,
-                                                        trace_time, d);
-        break;
-      case tlb::TlbDesign::Tps:
-        if (cfg_.mmu.tlb.tpsTlbSkewed) {
-            if (traced)
-                translateChunk<false, true, 2, false, true>(
-                    acc, count, trace_time, d);
-            else
-                translateChunk<false, true, 2, false, false>(
-                    acc, count, trace_time, d);
-        } else {
-            if (traced)
-                translateChunk<false, true, 1, false, true>(
-                    acc, count, trace_time, d);
-            else
-                translateChunk<false, true, 1, false, false>(
-                    acc, count, trace_time, d);
-        }
-        break;
-      case tlb::TlbDesign::Baseline:
-      case tlb::TlbDesign::Rmm:
-        if (traced)
-            translateChunk<false, true, 0, true, true>(acc, count,
-                                                       trace_time, d);
-        else
-            translateChunk<false, true, 0, true, false>(acc, count,
-                                                        trace_time, d);
-        break;
-    }
-}
-
-SimStats
-Engine::runFast()
-{
-    stats_ = SimStats{};
-    SimStats &stats = stats_;
-    stats.epochInterval = cfg_.epochAccesses;
-    workloads::Workload &wl = *workloads_[0];
-    unsigned primary_ipa = wl.info().instsPerAccess;
-    uint64_t primary_accesses = 0;
-
-    uint64_t warmup_target = wl.warmupAccesses();
-    bool in_warmup = warmup_target > 0;
-
-    EpochPrev eprev;
-    auto take_epoch = [&]() {
-        uint64_t walk_refs = mmu_->stats().walkMemRefs;
-        uint64_t os_cycles = as_->osWork().totalCycles();
-        EpochSample e;
-        e.accesses = primary_accesses - eprev.accesses;
-        e.instructions = e.accesses * (primary_ipa + 1);
-        e.cycles = cycle_.cycles() - eprev.cycles;
-        e.l1TlbMisses = stats.l1TlbMisses - eprev.l1TlbMisses;
-        e.l2TlbHits = stats.l2TlbHits - eprev.l2TlbHits;
-        e.walks = stats.tlbMisses - eprev.walks;
-        e.walkMemRefs = walk_refs - eprev.walkMemRefs;
-        e.walkCycles = stats.walkCycles - eprev.walkCycles;
-        e.faults = stats.faults - eprev.faults;
-        e.osCycles = os_cycles - eprev.osCycles;
-        stats.epochs.push_back(e);
-        eprev = EpochPrev{primary_accesses, stats.l1TlbMisses,
-                          stats.l2TlbHits, stats.tlbMisses, walk_refs,
-                          stats.walkCycles, stats.faults,
-                          cycle_.cycles(), os_cycles};
-        // Physical-memory telemetry rides the same boundary ordinals,
-        // so its series is identical across the fast/reference paths.
-        if (memTel_)
-            memTel_->sample(*as_, primary_accesses);
-    };
-
-    std::optional<check::InvariantChecker> checker;
-    if (cfg_.checkEveryAccesses != 0) {
-        check::InvariantChecker::Targets targets;
-        targets.as = as_.get();
-        targets.phys = &as_->phys();
-        targets.tlb = &mmu_->tlbs();
-        targets.exemptFrames =
-            check::InvariantChecker::externallyHeldFrames(as_->phys());
-        checker.emplace(targets);
-    }
-    uint64_t accesses_since_check = 0;
-    uint64_t trace_time = 0;
-    std::chrono::steady_clock::time_point deadline{};
-    if (cfg_.timeoutSeconds > 0.0) {
-        deadline = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(
-                           cfg_.timeoutSeconds));
-    }
-
-    uint64_t chunk_cap = cfg_.chunkAccesses != 0 ? cfg_.chunkAccesses : 1;
-    std::vector<MemAccess> buf(chunk_cap);
-
-    bool running = true;
-    while (running) {
-        // Clamp the chunk so every boundary action -- the warmup stat
-        // reset, maxAccesses stop, epoch snapshot and checker sweep --
-        // lands on the exact access ordinal at which the reference
-        // loop, which tests after every access, would take it.
-        uint64_t limit = chunk_cap;
-        if (in_warmup) {
-            limit = std::min(limit, warmup_target - primary_accesses);
-        } else {
-            // >= comparison in the stop test: when the cap is already
-            // met (maxAccesses == 0), the reference loop still runs
-            // one access before stopping.
-            uint64_t rem = cfg_.maxAccesses > primary_accesses
-                               ? cfg_.maxAccesses - primary_accesses
-                               : 1;
-            limit = std::min(limit, rem);
-            if (cfg_.epochAccesses != 0)
-                limit = std::min(
-                    limit, cfg_.epochAccesses -
-                               (primary_accesses - eprev.accesses));
-        }
-        if (checker)
-            limit = std::min(limit, cfg_.checkEveryAccesses -
-                                        accesses_since_check);
-
-        size_t got;
-        {
-            obs::ScopedTimer timer(profile_,
-                                   obs::ProfPhase::WorkloadNext);
-            got = wl.nextBatch(buf.data(),
-                               static_cast<size_t>(limit));
-        }
-        if (got == 0)
-            break;
-
-        ChunkDelta d;
-        dispatchChunk(buf.data(), got, trace_time, d);
-        primary_accesses += got;
-        stats.l1TlbMisses += d.l1TlbMisses;
-        stats.l2TlbHits += d.l2TlbHits;
-        stats.stlbPenaltyCycles += d.stlbPenaltyCycles;
-        stats.tlbMisses += d.tlbMisses;
-        stats.walkCycles += d.walkCycles;
-        stats.faults += d.faults;
-
-        if (in_warmup && primary_accesses >= warmup_target) {
-            in_warmup = false;
-            stats.warmup.accesses = primary_accesses;
-            stats.warmup.cycles = cycle_.cycles();
-            stats.warmup.osCycles = as_->osWork().totalCycles();
-            stats.warmup.faults = stats.faults;
-            primary_accesses = 0;
-            stats.l1TlbMisses = 0;
-            stats.l2TlbHits = 0;
-            stats.tlbMisses = 0;
-            stats.stlbPenaltyCycles = 0;
-            stats.walkCycles = 0;
-            stats.faults = 0;
-            mmu_->clearStats();
-            memsys_.clearStats();
-            cycle_.reset();
-            // Post-Mark events are the measured phase; the trace clock
-            // itself is not reset.
-            if (trace_)
-                trace_->mark(obs::kMarkWarmupEnd);
-            // Epoch deltas restart at the measured phase; osWork is
-            // not reset, so carry its baseline.
-            eprev = EpochPrev{};
-            eprev.osCycles = stats.warmup.osCycles;
-            // Baseline telemetry sample at the seam.
-            if (memTel_)
-                memTel_->sample(*as_, 0);
-        } else if (!in_warmup &&
-                   primary_accesses >= cfg_.maxAccesses) {
-            running = false;
-        }
-        if (cfg_.epochAccesses != 0 && !in_warmup &&
-            primary_accesses - eprev.accesses >= cfg_.epochAccesses) {
-            take_epoch();
-        }
-        if (checker) {
-            accesses_since_check += got;
-            if (accesses_since_check >= cfg_.checkEveryAccesses) {
-                accesses_since_check = 0;
-                checker->throwIfBad();
-            }
-        }
-        // The wall-clock budget is inherently non-deterministic; the
-        // fast path checks it at chunk ends instead of every 0x1000
-        // accesses.
-        if (cfg_.timeoutSeconds > 0.0 &&
-            std::chrono::steady_clock::now() > deadline) {
-            throwSimError(ErrorKind::Timeout,
-                          "cell exceeded its %.3g s wall-clock "
-                          "budget", cfg_.timeoutSeconds);
-        }
-    }
-
-    // Flush the final (possibly short) epoch.
-    if (cfg_.epochAccesses != 0 && primary_accesses > eprev.accesses)
-        take_epoch();
-
-    stats.accesses = primary_accesses;
-    stats.instructions = primary_accesses * (primary_ipa + 1);
-    stats.cycles = cycle_.cycles();
-    stats.mmu = mmu_->stats();
-    stats.walker = mmu_->walker().stats();
-    stats.memsys = memsys_.stats();
-    stats.osWork = as_->osWork();
-    stats.buddy = as_->phys().buddy().stats();
-    stats.compaction = as_->compactionStats();
-    stats.mmapCalls = mmapCalls_;
-    stats.munmapCalls = munmapCalls_;
-    if (memTel_) {
-        memTel_->sampleIfNew(*as_, primary_accesses);
-        stats.mem = memTel_->data();
-    }
-    stats.walkMemRefs = stats.mmu.walkMemRefs;
     return stats;
 }
 

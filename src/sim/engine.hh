@@ -70,21 +70,23 @@ struct EngineConfig
      */
     double timeoutSeconds = 0.0;
     /**
-     * Force the per-access reference loop (virtual TLB dispatch, every
-     * guard tested on every access) instead of the devirtualized
-     * batched fast path.  The two produce bit-identical statistics,
-     * manifests and event traces (tests/differential_test.cc); the
-     * reference path survives as the oracle.  Deliberately excluded
-     * from manifest serialization so artifacts from either path
-     * compare byte-for-byte.
+     * Run the oracle: chunks of one access, each translated through the
+     * virtually dispatched Mmu::access / TlbHierarchy::lookup instead of
+     * the devirtualized Mmu::accessFast.  Everything else -- boundary
+     * bookkeeping, SMT rounds, finalization -- is the one engine loop,
+     * so the differential suite (tests/differential_test.cc) checks the
+     * devirtualized kernel and the chunk clamping against a per-access
+     * run.  Deliberately excluded from manifest serialization so
+     * artifacts from either kernel compare byte-for-byte.
      */
     bool referencePath = false;
     /**
-     * Fast-path batch size: accesses translated per workload batch.
+     * Batch size: accesses translated per primary-workload batch.
      * Chunks are clamped so warmup, epoch, checker and maxAccesses
-     * boundaries land on the exact access where the reference path
-     * takes them; the value therefore affects performance only, never
-     * results.  Also excluded from manifest serialization.
+     * boundaries land on their exact access ordinal; the value
+     * therefore affects performance only, never results.  SMT runs,
+     * non-batchable workloads and referencePath use chunks of one
+     * access regardless.  Also excluded from manifest serialization.
      */
     uint64_t chunkAccesses = 4096;
 };
@@ -204,7 +206,12 @@ class Engine : public AllocApi
      */
     void addWorkload(workloads::Workload &w);
 
-    /** Run to primary-thread completion; returns the statistics. */
+    /**
+     * Run to primary-thread completion; returns the statistics.  Each
+     * round translates one primary chunk, takes the primary's boundary
+     * actions (warmup reset, maxAccesses stop, epoch snapshot, checker
+     * sweep), then one access from each competitor not yet exhausted.
+     */
     SimStats run();
 
     /**
@@ -236,13 +243,12 @@ class Engine : public AllocApi
      * Attach a physical-memory telemetry probe (nullptr = off), also
      * forwarded to the address space so OS policies can report
      * reservation lifecycle events.  The engine samples it at every
-     * epoch boundary (the exact ordinals the epoch series uses, on
-     * both the fast and reference paths), at the warmup/measured seam
-     * and at end of run; the recorded data is copied into
-     * SimStats::mem.  Purely passive: simulated counters are never
-     * perturbed.  The probe must outlive the engine: the address-space
-     * destructor unmaps surviving VMAs, which still fires the
-     * reservation-release hooks.
+     * epoch boundary (the exact ordinals the epoch series uses), at
+     * the warmup/measured seam and at end of run; the recorded data
+     * is copied into SimStats::mem.  Purely passive: simulated
+     * counters are never perturbed.  The probe must outlive the
+     * engine: the address-space destructor unmaps surviving VMAs,
+     * which still fires the reservation-release hooks.
      */
     void setMemTelemetry(obs::MemTelemetry *tel);
 
@@ -255,7 +261,7 @@ class Engine : public AllocApi
     void munmap(vm::Vaddr start) override;
 
   private:
-    /** Primary-thread stat deltas accumulated over one fast-path chunk. */
+    /** Primary-thread stat deltas accumulated over one chunk. */
     struct ChunkDelta
     {
         uint64_t l1TlbMisses = 0;
@@ -266,24 +272,25 @@ class Engine : public AllocApi
         uint64_t faults = 0;
     };
 
-    /** The historical per-access loop (the differential-test oracle). */
-    SimStats runReference();
-
-    /** The chunked, devirtualized loop; bit-identical to the above. */
-    SimStats runFast();
-
     /**
-     * Translate @p count batched accesses through the devirtualized
-     * MMU path (template parameters as in TlbHierarchy::lookupFast;
-     * @p Traced hoists the trace check out of the loop).  Defined in
-     * engine.cc; all instantiations live there.
+     * Translate @p count accesses through @p Kernel's MMU entry point
+     * (the devirtualized accessFast or the virtual oracle), feeding
+     * memsys and the cycle model; @p Traced hoists the trace check out
+     * of the loop.  Defined in engine.cc; all instantiations live there.
      */
-    template <bool HasColt, bool HasSmall, int TpsKind, bool HasLarge,
-              bool Traced>
+    template <class Kernel, bool Traced>
     void translateChunk(const MemAccess *acc, size_t count,
                         uint64_t &trace_time, ChunkDelta &delta);
 
-    /** Select the translateChunk instantiation for the active design. */
+    /** translateChunk<Kernel, Traced> for the attached trace. */
+    template <class Kernel>
+    void translateWith(const MemAccess *acc, size_t count,
+                       uint64_t &trace_time, ChunkDelta &delta);
+
+    /**
+     * Select the kernel for the active design (or the oracle) and
+     * translate one chunk, timed as the profile's Translate phase.
+     */
     void dispatchChunk(const MemAccess *acc, size_t count,
                        uint64_t &trace_time, ChunkDelta &delta);
 

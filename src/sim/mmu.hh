@@ -98,8 +98,8 @@ class Mmu
     /**
      * Everything after the TLB probe: L1-hit bookkeeping, L2-hit
      * refills, the walk/fault path.  Shared verbatim between the
-     * reference path (accessInternal) and the fast path (accessFast),
-     * which differ only in how the probe itself is dispatched.
+     * engine's oracle kernel (accessInternal) and its batched kernel
+     * (accessFast), which differ only in how the probe is dispatched.
      */
     MmuAccessResult finishAccess(const tlb::TlbLookupResult &hit,
                                  vm::Vaddr va, bool write,
@@ -110,7 +110,7 @@ class Mmu
 
   public:
     /**
-     * Fast-path translate: same observable behaviour as access(), with
+     * Devirtualized translate: same observable behaviour as access(), with
      * the L1 probe chain devirtualized at compile time (template
      * parameters as in TlbHierarchy::lookupFast) and the common case
      * -- an L1 hit needing no A/D maintenance and no CoW fault --

@@ -113,14 +113,14 @@ class TlbHierarchy
     TlbLookupResult lookup(Vaddr va);
 
     /**
-     * Compile-time-specialized lookup for the engine's fast path.
+     * Compile-time-specialized lookup for the engine's batched kernel.
      *
      * The template parameters mirror which L1 structures the active
      * design instantiates, so the probe chain compiles down to direct
      * calls with the null checks and virtual dispatch of lookup()
      * removed.  The L2 tail (STLB / range TLB, rarely taken) is shared
-     * with the reference path, so the two paths are identical by
-     * construction everywhere except the devirtualized L1 probes.
+     * with lookup(), so the two are identical by construction
+     * everywhere except the devirtualized L1 probes.
      *
      * @tparam HasColt   design has the coalesced L1 (Colt)
      * @tparam HasSmall  design has the 4 KB set-associative L1

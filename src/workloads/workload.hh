@@ -67,8 +67,8 @@ class Workload
 
     /**
      * True when nextBatch() emits the exact access/allocation
-     * interleaving of repeated next() calls, making the generator
-     * eligible for the engine's batched fast path.
+     * interleaving of repeated next() calls, letting the engine pull
+     * it in chunks of many accesses instead of one.
      */
     virtual bool batchable() const { return false; }
 

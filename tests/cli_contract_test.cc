@@ -26,10 +26,12 @@
 
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
+#include "temp_path.hh"
 
 namespace {
 
 using tps::obs::Json;
+using tps::test::tempPath;
 
 struct Cmd
 {
@@ -45,12 +47,6 @@ slurp(const std::string &path)
     std::ostringstream ss;
     ss << is.rdbuf();
     return ss.str();
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
 }
 
 /** Run @p cmd through the shell, capturing exit code, stdout, stderr. */

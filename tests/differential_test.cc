@@ -1,24 +1,30 @@
 /**
  * @file
- * Differential reference-model tests for the fast translate path.
+ * Differential reference-model tests for the batched translate kernel.
  *
- * The engine's chunked, devirtualized fast path must be bit-identical
- * to the retained virtual-dispatch reference path: not approximately
- * equal, not equal-within-tolerance -- every statistic, every epoch
- * sample, every manifest byte, every event-trace byte.  These tests
- * sweep the full (workload x design) grid at a small scale, run each
- * cell down both paths, and diff the results:
+ * The engine's one loop runs either the devirtualized batched kernel
+ * (the default) or the per-access oracle (referencePath: chunks of one
+ * access through the virtually dispatched Mmu::access).  The two must
+ * be bit-identical: not approximately equal, not equal-within-tolerance
+ * -- every statistic, every epoch sample, every manifest byte, every
+ * event-trace byte.  These tests sweep the full (workload x design)
+ * grid at a small scale, run each cell through both kernels, and diff
+ * the results:
  *
  *  1. SimStats field-identical for every registry workload under every
- *     design, including the skewed-associative TPS TLB variant.
+ *     design, including the skewed-associative TPS TLB variant, and
+ *     for SMT cells (one-access primary chunks, each followed by one
+ *     competitor access).
  *  2. Host-free run manifests (options, config, stat tree, epoch
- *     series) byte-identical between the two paths.
- *  3. Event traces byte-identical between the two paths.
+ *     series) byte-identical between the two kernels, SMT included.
+ *  3. Event traces byte-identical between the two kernels.
  *  4. Chunk size is performance-only: epoch boundaries that land
  *     mid-chunk (sizes 1, 7 and 4096 against a non-divisible epoch
  *     interval) produce identical epoch series.
  *  5. The equivalences hold through the ExperimentRunner at --jobs=1
  *     and --jobs=4.
+ *  6. Profiling times whole chunks: a profiled cell runs the batched
+ *     loop and computes exactly what an unprofiled one does.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +34,7 @@
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
+#include "obs/profile.hh"
 #include "obs/run_manifest.hh"
 #include "workloads/registry.hh"
 
@@ -143,6 +150,23 @@ fullGrid(double scale = 0.01)
         skewed.physBytes = 512ull << 20;
         cells.push_back(skewed);
     }
+    // SMT cells: one-access primary chunks, each followed by one
+    // competitor access, with epoch and checker intervals that divide
+    // nothing so their boundaries land inside rounds.
+    for (const char *wl : {"gups", "mcf", "xsbench"}) {
+        for (Design d : {Design::Thp, Design::Tps, Design::Colt,
+                         Design::Rmm}) {
+            RunOptions smt;
+            smt.workload = wl;
+            smt.design = d;
+            smt.scale = scale;
+            smt.physBytes = 512ull << 20;
+            smt.smt = true;
+            smt.epochAccesses = 3333;
+            smt.checkEvery = 2501;
+            cells.push_back(smt);
+        }
+    }
     return cells;
 }
 
@@ -152,6 +176,8 @@ cellName(const RunOptions &opts)
     std::string name = cellLabel(opts);
     if (opts.tpsTlbSkewed)
         name += "/skewed";
+    if (opts.smt)
+        name += "/smt";
     return name;
 }
 
@@ -199,12 +225,15 @@ TEST(Differential, ManifestBytesIdenticalFastVsReference)
     std::vector<RunOptions> cells;
     for (const char *wl : {"gups", "mcf", "xsbench", "graph500"}) {
         for (Design d : {Design::Thp, Design::Tps, Design::Colt}) {
-            RunOptions opts;
-            opts.workload = wl;
-            opts.design = d;
-            opts.scale = 0.01;
-            opts.physBytes = 512ull << 20;
-            cells.push_back(opts);
+            for (bool smt : {false, true}) {
+                RunOptions opts;
+                opts.workload = wl;
+                opts.design = d;
+                opts.scale = 0.01;
+                opts.physBytes = 512ull << 20;
+                opts.smt = smt;
+                cells.push_back(opts);
+            }
         }
     }
     std::string fast = manifestBytes(cells, false, 1);
@@ -290,6 +319,47 @@ TEST(Differential, MaxAccessesBoundaryMidChunk)
                         "gups/tps/maxAccesses/chunk=" +
                             std::to_string(chunk));
     }
+}
+
+TEST(Differential, ProfiledRunTakesTheBatchedLoop)
+{
+    // --profile times whole chunks, so attaching it changes neither the
+    // loop the cell takes nor a byte of what it computes.
+    RunOptions cell;
+    cell.workload = "gups";
+    cell.design = Design::Tps;
+    cell.scale = 0.02;
+    cell.physBytes = 512ull << 20;
+    cell.epochAccesses = 5000;
+
+    obs::ProfileRegistry profile;
+    RunHooks hooks;
+    hooks.profile = &profile;
+    sim::SimStats profiled = runExperiment(cell, hooks);
+    sim::SimStats plain = runExperiment(cell);
+    expectIdentical(plain, profiled, "gups/tps/profiled");
+    auto manifest = [&](const sim::SimStats &stats) {
+        obs::CellArtifact artifact;
+        artifact.options = cell;
+        artifact.stats = stats;
+        obs::ManifestInfo info;
+        info.bench = "differential";
+        info.includeHost = false;
+        return obs::manifestJson(info, {artifact}).dump(2);
+    };
+    EXPECT_EQ(manifest(plain), manifest(profiled));
+
+    // One translate timing per chunk, one workload-next timing per
+    // nextBatch() call: the chunks plus the empty batch that ends the
+    // run.  Chunks span many accesses, so both counts sit far below
+    // the access count.
+    const auto &translate = profile.entry(obs::ProfPhase::Translate);
+    const auto &next = profile.entry(obs::ProfPhase::WorkloadNext);
+    EXPECT_EQ(profile.entry(obs::ProfPhase::Setup).calls, 1u);
+    EXPECT_EQ(translate.calls + 1, next.calls);
+    uint64_t accesses = plain.warmup.accesses + plain.accesses;
+    EXPECT_GT(translate.calls, 0u);
+    EXPECT_LT(translate.calls * 2, accesses);
 }
 
 TEST(Differential, ParanoidCheckerAgreesAcrossPaths)

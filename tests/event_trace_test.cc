@@ -261,10 +261,10 @@ TEST(TraceGolden, TracingDoesNotChangeStats)
 }
 
 /**
- * With tracing ON, the fast translate path takes its slower traced
+ * With tracing ON, the batched translate kernel takes its slower traced
  * instantiation -- and must still emit the exact byte sequence the
- * reference loop emits: same events, same operands, same trace-clock
- * times, across every design.
+ * per-access oracle emits: same events, same operands, same
+ * trace-clock times, across every design.
  */
 TEST(TraceGolden, FastPathTraceByteIdenticalToReference)
 {

@@ -15,16 +15,27 @@
  *     fixed small scale.  These fail on any silent perf-model or
  *     seeding change, forcing the change to be acknowledged by
  *     updating the constants here.
+ *
+ *  3. Golden stat trees for SMT cells and for trace replay: the
+ *     stableHash64 of SimStats::toJson().dump(), pinning every
+ *     counter and epoch sample of the round-robin interleaving and
+ *     of a non-batchable workload.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
 #include "obs/run_manifest.hh"
+#include "sim/smt.hh"
+#include "sim/trace.hh"
+#include "temp_path.hh"
+#include "util/rng.hh"
+#include "workloads/registry.hh"
 
 namespace tps::core {
 namespace {
@@ -249,6 +260,113 @@ TEST(GoldenStats, GupsUnderTps)
 {
     expectGolden(runGups(Design::Tps),
                  Golden{30000, 55, 1, 2, 0, 20962});
+}
+
+/**
+ * Expect the stat tree of @p stats to hash to @p want; on mismatch the
+ * failure shows the actual hash (to re-pin after a deliberate model
+ * change) and the tree itself (to diff against a known-good run).
+ */
+void
+expectStatsHash(const sim::SimStats &stats, uint64_t want,
+                const std::string &what)
+{
+    std::string tree = stats.toJson().dump();
+    uint64_t got = stableHash64(tree);
+    EXPECT_EQ(got, want) << what << ": actual 0x" << std::hex << got
+                         << std::dec << ", stat tree " << tree;
+}
+
+RunOptions
+smtCell(const char *workload, Design d)
+{
+    RunOptions opts;
+    opts.workload = workload;
+    opts.design = d;
+    opts.scale = 0.02;
+    opts.physBytes = 512ull << 20;
+    opts.smt = true;
+    return opts;
+}
+
+TEST(GoldenStats, SmtStatTrees)
+{
+    struct Pin
+    {
+        const char *workload;
+        Design design;
+        uint64_t hash;
+    };
+    for (const Pin &pin : {Pin{"mcf", Design::Thp, 0xcb61df282ded301cull},
+                           Pin{"mcf", Design::Tps, 0x6fa0ac29fcb92993ull},
+                           Pin{"gups", Design::Thp, 0xebd342463d0092b5ull},
+                           Pin{"gups", Design::Tps,
+                               0x7a3f65b9aa6dd11full}}) {
+        RunOptions opts = smtCell(pin.workload, pin.design);
+        expectStatsHash(runExperiment(opts), pin.hash, cellLabel(opts));
+    }
+}
+
+TEST(GoldenStats, SmtBoundariesInsideRounds)
+{
+    // Epoch, checker and maxAccesses intervals that divide nothing, so
+    // the warmup seam, epoch snapshots, invariant sweeps and the stop
+    // each fall between the primary's access and the competitor's
+    // within one round.
+    RunOptions opts = smtCell("gups", Design::Tps);
+    opts.epochAccesses = 3333;
+    opts.checkEvery = 2501;
+    opts.maxAccesses = 10007;
+    sim::SimStats stats = runExperiment(opts);
+    ASSERT_GT(stats.epochs.size(), 2u);
+    ASSERT_EQ(stats.accesses, opts.maxAccesses);
+    expectStatsHash(stats, 0x805cd145a00415e9ull,
+                    "gups/tps smt boundaries");
+}
+
+TEST(GoldenStats, SmtCompetitorOutlivesPrimary)
+{
+    // A competitor longer than the primary still takes its access in
+    // the round in which the primary runs dry, and only then does the
+    // run end; that access reaches the shared cycle model and MMU.
+    RunOptions opts = smtCell("gups", Design::Tps);
+    auto primary = workloads::makeWorkload("gups", 0.01, 11);
+    auto competitor = workloads::makeWorkload("mcf", 0.02, 12);
+    os::PhysMemory pm(opts.physBytes);
+    sim::EngineConfig ecfg = makeEngineConfig(opts);
+    ecfg.epochAccesses = 3333;
+    sim::SimStats stats = sim::runSmt(pm, makePolicy(opts.design),
+                                      *primary, *competitor, ecfg);
+    ASSERT_LT(stats.warmup.accesses + stats.accesses,
+              stats.mmu.accesses);
+    expectStatsHash(stats, 0xb7cbfaacafeef23eull,
+                    "gups/tps smt vs longer mcf");
+}
+
+TEST(GoldenStats, TraceReplayStatTree)
+{
+    // A recorded gcc trace replays through the non-batchable
+    // TraceWorkload: one access per next(), with the generator's
+    // mmap/munmap churn replayed inline between accesses.
+    std::string path = test::tempPath("replay.trace");
+    {
+        auto live = workloads::makeWorkload("gcc", 0.02, 7);
+        sim::recordTrace(*live, path);
+    }
+    sim::TraceWorkload replay(path);
+    ASSERT_FALSE(replay.batchable());
+    os::PhysMemory pm(512ull << 20);
+    sim::EngineConfig ecfg;
+    ecfg.mmu.tlb = designTlbConfig(Design::Thp);
+    ecfg.cycle.instsPerAccess = replay.info().instsPerAccess;
+    ecfg.epochAccesses = 3333;
+    sim::Engine engine(pm, makePolicy(Design::Thp), ecfg);
+    engine.addWorkload(replay);
+    sim::SimStats stats = engine.run();
+    std::remove(path.c_str());
+    ASSERT_GT(stats.warmup.accesses, 0u);
+    ASSERT_GT(stats.munmapCalls, 0u);
+    expectStatsHash(stats, 0x45c564650db3504eull, "gcc trace replay/thp");
 }
 
 } // namespace

@@ -270,9 +270,9 @@ TEST(MemTelemetry, OffLeavesStatsTreeUntouched)
 
 TEST(MemTelemetry, FastAndReferencePathsByteIdentical)
 {
-    // chunkAccesses=7 forces epoch boundaries to land mid-chunk on the
-    // fast path; the telemetry series must still match the reference
-    // loop byte for byte.
+    // chunkAccesses=7 forces epoch boundaries to land mid-chunk; the
+    // telemetry series must still match the per-access oracle byte for
+    // byte.
     sim::SimStats fast = core::runExperiment(telemetryRun(7, false));
     sim::SimStats ref = core::runExperiment(telemetryRun(0, true));
     ASSERT_TRUE(fast.mem.enabled);

@@ -38,6 +38,17 @@ struct Param
     bool sequential;
 };
 
+/**
+ * gtest prints an unprintable param as its raw bytes, which here hold
+ * the address of `name` and uninitialised padding; that would make
+ * the listed test names change from one process to the next.
+ */
+void
+PrintTo(const Param &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 std::unique_ptr<PagingPolicy>
 makeFor(const Param &p)
 {

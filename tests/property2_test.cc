@@ -15,6 +15,7 @@
 #include "os/fragmenter.hh"
 #include "os/reservation.hh"
 #include "sim/trace.hh"
+#include "temp_path.hh"
 #include "tlb/fully_assoc_tlb.hh"
 #include "tlb/set_assoc_tlb.hh"
 #include "tlb/skewed_assoc_tlb.hh"
@@ -171,8 +172,7 @@ TEST(Property, TraceSetupIsRepeatable)
     workloads::GupsConfig cfg;
     cfg.tableBytes = 2ull << 20;
     cfg.updates = 500;
-    std::string path =
-        std::string(::testing::TempDir()) + "/tps_resetup.trace";
+    std::string path = test::tempPath("resetup.trace");
     {
         workloads::Gups gups(cfg);
         sim::recordTrace(gups, path);

@@ -17,6 +17,7 @@
 #include "obs/json.hh"
 #include "obs/shard.hh"
 #include "obs/sweep_monitor.hh"
+#include "temp_path.hh"
 
 namespace tps::obs {
 namespace {
@@ -199,8 +200,7 @@ TEST(ShardPlan, ProvenanceJsonShape)
 
 TEST(Heartbeat, MonitorWritesAndFinalizesHeartbeatFile)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "/tps_heartbeat_test.json";
+    std::string path = test::tempPath("heartbeat.json");
     std::remove(path.c_str());
     {
         SweepMonitor::Config cfg;

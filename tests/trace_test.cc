@@ -13,18 +13,18 @@
 #include "core/tps_system.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
+#include "temp_path.hh"
 #include "workloads/gups.hh"
 #include "workloads/registry.hh"
 
 namespace tps::sim {
 namespace {
 
-/** Temp path helper (unique per test). */
+/** Temp path helper (unique per process and test). */
 std::string
 tracePath(const char *name)
 {
-    return std::string(::testing::TempDir()) + "/tps_" + name +
-           ".trace";
+    return test::tempPath(std::string(name) + ".trace");
 }
 
 TEST(Trace, RoundTripPreservesStream)

@@ -2,13 +2,13 @@
  * @file
  * Property test: chunking is invisible.
  *
- * The fast translate path batches accesses into chunks; the chunk size
+ * The engine batches accesses into chunks; the chunk size
  * is supposed to affect performance only.  This suite makes that claim
  * falsifiable by randomized search instead of enumerated cases: a
  * seeded Pcg32 draws (workload, design, scale, chunk size) tuples and
  * every draw must produce hit/miss/walk counters identical between
  * chunk size 1 (the degenerate per-access batch) and the drawn size --
- * and identical to the reference loop.  A draw that distinguishes them
+ * and identical to the per-access oracle.  A draw that distinguishes them
  * is a minimal repro by construction: the failure message carries the
  * full cell identity.
  */
@@ -111,7 +111,7 @@ TEST(TranslateProperty, ChunkSizeNeverReachesCounters)
         expectSameCounters(want, runExperiment(chunked),
                            drawName(cell, chunk));
 
-        // And both agree with the reference loop (transitively ties
+        // And both agree with the oracle kernel (transitively ties
         // every chunk size to the oracle, not just to each other).
         RunOptions reference = cell;
         reference.referencePath = true;
