@@ -29,7 +29,7 @@ Dbx1000::Dbx1000(Dbx1000Config cfg)
               6,
           },
           cfg.seed),
-      cfg_(cfg), zipf_(cfg.rows, cfg.zipfTheta)
+      cfg_(cfg)
 {
     buckets_ = cfg_.rows / 2;
 }
@@ -37,6 +37,7 @@ Dbx1000::Dbx1000(Dbx1000Config cfg)
 void
 Dbx1000::setup(sim::AllocApi &api)
 {
+    zipf_ = std::make_unique<ZipfSampler>(cfg_.rows, cfg_.zipfTheta);
     indexBase_ = api.mmap(buckets_ * 8);
     nodeBase_ = api.mmap(cfg_.rows * 32);
     tupleBase_ = api.mmap(cfg_.rows * cfg_.tupleBytes);
@@ -49,7 +50,7 @@ void
 Dbx1000::refillPending()
 {
     for (unsigned op = 0; op < kOpsPerTxn; ++op) {
-        uint64_t key = zipf_.sample(rng_);
+        uint64_t key = zipf_->sample(rng_);
         bool write = rng_.chance(cfg_.writeFraction);
         uint64_t bucket = hashKey(key) % buckets_;
 

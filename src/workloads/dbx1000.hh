@@ -41,7 +41,8 @@ class Dbx1000 : public WorkloadBase
     void refillPending() override;
 
     Dbx1000Config cfg_;
-    ZipfSampler zipf_;
+    //! Built at setup: its zeta sum is up to 2^20 pow() calls.
+    std::unique_ptr<ZipfSampler> zipf_;
     uint64_t buckets_ = 0;
 
     vm::Vaddr indexBase_ = 0;  //!< bucket heads (8 B each)

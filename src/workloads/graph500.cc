@@ -1,6 +1,7 @@
 #include "workloads/graph500.hh"
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -11,31 +12,59 @@ namespace tps::workloads {
 
 namespace {
 
-/** Memoized host-side graphs, keyed by (scale, edgeFactor, seed). */
+using CsrPtr = std::shared_ptr<const Graph500::Csr>;
+
+/**
+ * Memoized host-side graphs, keyed by (scale, edgeFactor, seed).  The
+ * first caller for a key inserts a future under the lock and builds
+ * outside it; later callers for that key wait on the future.
+ */
 std::map<std::tuple<unsigned, unsigned, uint64_t>,
-         std::shared_ptr<const Graph500::Csr>> graph_cache;
+         std::shared_future<CsrPtr>> graph_cache;
 std::mutex graph_cache_mutex;
 
-/** One deterministic R-MAT edge (Graph500 reference quadrants). */
+/**
+ * Quadrant bounds as thresholds on the raw 64-bit draw r.  uniform()
+ * is (r >> 11) * 2^-53, so when p * 2^53 is an integer P (it is for
+ * the Graph500 reference quadrants a = .57, b = c = .19 as doubles),
+ * uniform() < p exactly when r < P << 11.  The draws, and so the
+ * graph, are bit-identical to comparing uniform() against a, a + b
+ * and a + b + c.
+ */
+constexpr double kA = 0.57, kB = 0.19, kC = 0.19;
+constexpr double kTwo53 = 0x1p53;
+
+constexpr bool
+isWhole(double x)
+{
+    return double(uint64_t(x)) == x;
+}
+
+static_assert(isWhole(kA * kTwo53) && isWhole((kA + kB) * kTwo53) &&
+                  isWhole((kA + kB + kC) * kTwo53),
+              "R-MAT quadrant bounds must be exact multiples of 2^-53");
+
+constexpr uint64_t kTa = uint64_t(kA * kTwo53) << 11;
+constexpr uint64_t kTab = uint64_t((kA + kB) * kTwo53) << 11;
+constexpr uint64_t kTabc = uint64_t((kA + kB + kC) * kTwo53) << 11;
+
+/**
+ * One deterministic R-MAT edge (Graph500 reference quadrants), one
+ * 64-bit draw per level.  Quadrant order is (0,0), (0,1), (1,0),
+ * (1,1), so the source bit is r >= T_ab and the destination bit is
+ * set in the second and fourth quadrants; comparing against the
+ * thresholds instead of branching avoids a mispredicted ladder per
+ * level.
+ */
 std::pair<uint32_t, uint32_t>
 rmatEdge(Pcg32 &gen, unsigned scale)
 {
-    constexpr double a = 0.57, b = 0.19, c = 0.19;
     uint64_t src = 0, dst = 0;
     for (unsigned bit = 0; bit < scale; ++bit) {
-        double u = gen.uniform();
-        unsigned sbit, dbit;
-        if (u < a) {
-            sbit = 0; dbit = 0;
-        } else if (u < a + b) {
-            sbit = 0; dbit = 1;
-        } else if (u < a + b + c) {
-            sbit = 1; dbit = 0;
-        } else {
-            sbit = 1; dbit = 1;
-        }
-        src = (src << 1) | sbit;
-        dst = (dst << 1) | dbit;
+        uint64_t r = gen.next64();
+        uint64_t ge_a = r >= kTa, ge_ab = r >= kTab, ge_abc = r >= kTabc;
+        src = (src << 1) | ge_ab;
+        dst = (dst << 1) | (ge_a ^ ge_ab ^ ge_abc);
     }
     return {static_cast<uint32_t>(src), static_cast<uint32_t>(dst)};
 }
@@ -99,15 +128,32 @@ Graph500::buildGraph()
 {
     n_ = 1ull << cfg_.scale;
     auto key = std::make_tuple(cfg_.scale, cfg_.edgeFactor, cfg_.seed);
-    std::lock_guard<std::mutex> lock(graph_cache_mutex);
-    auto it = graph_cache.find(key);
-    if (it == graph_cache.end()) {
-        it = graph_cache
-                 .emplace(key, buildCsr(cfg_.scale, cfg_.edgeFactor,
-                                        cfg_.seed))
-                 .first;
+    std::promise<CsrPtr> promise;
+    std::shared_future<CsrPtr> graph;
+    bool build = false;
+    {
+        std::lock_guard<std::mutex> lock(graph_cache_mutex);
+        auto [it, inserted] = graph_cache.try_emplace(key);
+        if (inserted)
+            it->second = promise.get_future().share();
+        graph = it->second;
+        build = inserted;
     }
-    csr_ = it->second;
+    if (build) {
+        try {
+            promise.set_value(
+                buildCsr(cfg_.scale, cfg_.edgeFactor, cfg_.seed));
+        } catch (...) {
+            // Only std::bad_alloc gets here.  Drop the entry so a later
+            // call rebuilds, then fail this caller and every waiter.
+            {
+                std::lock_guard<std::mutex> lock(graph_cache_mutex);
+                graph_cache.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+        }
+    }
+    csr_ = graph.get();
     visited_.assign(n_, false);
 }
 

@@ -10,7 +10,11 @@
  * Because graph construction is expensive and every figure runs the
  * benchmark under several designs, the host-side CSR is memoized per
  * (scale, edgeFactor, seed) and shared between instances; the BFS
- * itself remains per-instance and deterministic.
+ * itself remains per-instance and deterministic.  The memo builds each
+ * key's graph once per process, outside its lock: concurrent setups of
+ * the same key wait for that one build, setups of different keys build
+ * concurrently.  A build that throws (only std::bad_alloc can) fails
+ * every waiting setup and leaves no entry, so a later setup rebuilds.
  */
 
 #ifndef TPS_WORKLOADS_GRAPH500_HH

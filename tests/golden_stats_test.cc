@@ -16,20 +16,28 @@
  *     seeding change, forcing the change to be acknowledged by
  *     updating the constants here.
  *
- *  3. Golden stat trees for SMT cells and for trace replay: the
- *     stableHash64 of SimStats::toJson().dump(), pinning every
- *     counter and epoch sample of the round-robin interleaving and
- *     of a non-batchable workload.
+ *  3. Golden stat trees for SMT cells, for trace replay and for
+ *     graph500: the stableHash64 of SimStats::toJson().dump(),
+ *     pinning every counter and epoch sample of the round-robin
+ *     interleaving, of a non-batchable workload and of a BFS over an
+ *     R-MAT graph.
+ *
+ *  4. Graph500's process-wide CSR memo hands every instance the same
+ *     graph a serial setup builds, however many threads set up
+ *     instances of the same or different graphs at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
+#include "graph500_stream.hh"
 #include "obs/run_manifest.hh"
 #include "sim/smt.hh"
 #include "sim/trace.hh"
@@ -367,6 +375,52 @@ TEST(GoldenStats, TraceReplayStatTree)
     ASSERT_GT(stats.warmup.accesses, 0u);
     ASSERT_GT(stats.munmapCalls, 0u);
     expectStatsHash(stats, 0x45c564650db3504eull, "gcc trace replay/thp");
+}
+
+TEST(GoldenStats, Graph500StatTrees)
+{
+    // A 144 B/vertex footprint of 2^12 vertices: a scale-12 R-MAT
+    // graph with edge factor 8, one per design (the seed hashes it).
+    for (auto [design, hash] : {std::pair<Design, uint64_t>
+                                    {Design::Thp, 0x2457606844e8a5c6ull},
+                                {Design::Tps, 0x168bf397fdd555bcull}}) {
+        RunOptions opts;
+        opts.workload = "graph500";
+        opts.design = design;
+        opts.scale = 0.02;
+        opts.footprintBytes = 144ull << 12;
+        expectStatsHash(runExperiment(opts), hash, cellLabel(opts));
+    }
+}
+
+TEST(GoldenStats, Graph500MemoConcurrentSetup)
+{
+    // Several threads per graph set up Graph500 instances of two
+    // graphs at once, so the memo sees concurrent first requests for
+    // one key and concurrent builds of different keys.  Every
+    // instance's stream must match the pin recorded from a serial
+    // setup.  ctest runs each case in its own process, so the memo
+    // starts empty here.
+    constexpr unsigned kPerKey = 4;
+    const test::Graph500StreamPin pins[] = {test::kGraph500StreamPins[0],
+                                            test::kGraph500StreamPins[3]};
+    std::vector<uint64_t> hashes(2 * kPerKey);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < hashes.size(); ++i) {
+        threads.emplace_back([&, i] {
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            hashes[i] = test::graph500StreamHash(
+                test::pinConfig(pins[i % 2]));
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread &t : threads)
+        t.join();
+    for (unsigned i = 0; i < hashes.size(); ++i)
+        EXPECT_EQ(hashes[i], pins[i % 2].hash)
+            << "instance " << i << ": actual 0x" << std::hex << hashes[i];
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include <map>
 #include <set>
 
+#include "fake_alloc.hh"
+#include "graph500_stream.hh"
 #include "util/rng.hh"
 #include "util/sim_error.hh"
 #include "workloads/dbx1000.hh"
@@ -22,55 +24,7 @@
 namespace tps::workloads {
 namespace {
 
-/** AllocApi stub recording regions at fixed, disjoint addresses. */
-class FakeAlloc : public sim::AllocApi
-{
-  public:
-    vm::Vaddr
-    mmap(uint64_t bytes) override
-    {
-        vm::Vaddr start = cursor_;
-        // Align generously so workloads see realistic alignment.
-        uint64_t align = 1ull << 30;
-        start = alignUp(start, align);
-        regions_[start] = bytes;
-        cursor_ = start + bytes;
-        return start;
-    }
-
-    void
-    munmap(vm::Vaddr start) override
-    {
-        ASSERT_TRUE(regions_.count(start));
-        regions_.erase(start);
-        ++munmaps_;
-    }
-
-    bool
-    contains(vm::Vaddr va) const
-    {
-        auto it = regions_.upper_bound(va);
-        if (it == regions_.begin())
-            return false;
-        --it;
-        return va >= it->first && va < it->first + it->second;
-    }
-
-    uint64_t
-    totalMapped() const
-    {
-        uint64_t sum = 0;
-        for (auto &[s, l] : regions_)
-            sum += l;
-        return sum;
-    }
-
-    int munmaps_ = 0;
-
-  private:
-    vm::Vaddr cursor_ = 1ull << 40;
-    std::map<vm::Vaddr, uint64_t> regions_;
-};
+using test::FakeAlloc;
 
 /** Skip the initialization sweep (deterministic, seed-independent). */
 void
@@ -256,6 +210,18 @@ TEST(Graph500, MixesDependentAndStreamingAccesses)
     }
     EXPECT_GT(dep, total / 10);
     EXPECT_LT(dep, total);
+}
+
+TEST(Graph500, StreamPinnedAcrossSeedsAndEdgeFactors)
+{
+    // The init sweep and the first BFS, which scans the adjacency of
+    // every vertex it reaches, pin the R-MAT CSR bytes.
+    for (const test::Graph500StreamPin &pin : test::kGraph500StreamPins) {
+        uint64_t got = test::graph500StreamHash(test::pinConfig(pin));
+        EXPECT_EQ(got, pin.hash)
+            << "edgeFactor " << pin.edgeFactor << " seed 0x" << std::hex
+            << pin.seed << ": actual 0x" << got;
+    }
 }
 
 TEST(SpecLike, PointerChaseIsFullyDependent)
