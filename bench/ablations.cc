@@ -11,8 +11,6 @@
  *     without them.
  */
 
-#include <iostream>
-
 #include "fig_common.hh"
 
 using namespace tps;
@@ -31,21 +29,25 @@ thresholdSweep(const FigOptions &opts, const std::string &wl)
         run.tpsThreshold = threshold;
         cells.push_back(run);
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    CellResults results = runCells(opts, cells, true);
 
     Table table({"threshold", "L1 miss rate", "walk refs",
                  "committed bytes", "pages"});
     for (size_t i = 0; i < thresholds.size(); ++i) {
-        const CensusRun &res = runs[i];
-        table.addRow({fmtPercent(100.0 * thresholds[i]),
+        std::string label = fmtPercent(100.0 * thresholds[i]);
+        if (!results[i]) {
+            addHoleRow(table, label);
+            continue;
+        }
+        const CellResult &res = *results[i];
+        table.addRow({label,
                       fmtPercent(percent(res.stats.l1TlbMisses,
                                          res.stats.accesses)),
                       fmtCount(res.stats.walkMemRefs),
-                      fmtSize(res.mappedBytes),
-                      fmtCount(res.pageSizes.total())});
+                      fmtSize(res.census.mappedBytes),
+                      fmtCount(res.census.pageSizes.total())});
     }
-    table.print(std::cout);
-    std::printf("\n");
+    printTable(opts, table);
 }
 
 void
@@ -60,107 +62,64 @@ aliasModes(const FigOptions &opts, const std::string &wl)
         run.aliasMode = mode;
         cells.push_back(run);
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"mode", "walk refs", "alias extra refs",
                  "PTE writes", "alias writes"});
     for (size_t i = 0; i < modes.size(); ++i) {
-        const CensusRun &res = runs[i];
-        table.addRow(
-            {modes[i] == vm::AliasMode::Pointer ? "pointer"
-                                                : "full-copy",
-             fmtCount(res.stats.walkMemRefs),
-             fmtCount(res.stats.walker.aliasExtra),
-             fmtCount(res.stats.osWork.pteCycles /
-                      os::oscost::kPteWrite),
-             fmtCount(res.stats.osWork.promotions)});
+        std::string label = modes[i] == vm::AliasMode::Pointer
+                                ? "pointer"
+                                : "full-copy";
+        if (!results[i]) {
+            addHoleRow(table, label);
+            continue;
+        }
+        const sim::SimStats &stats = results[i]->stats;
+        table.addRow({label, fmtCount(stats.walkMemRefs),
+                      fmtCount(stats.walker.aliasExtra),
+                      fmtCount(stats.osWork.pteCycles /
+                               os::oscost::kPteWrite),
+                      fmtCount(stats.osWork.promotions)});
     }
-    table.print(std::cout);
-    std::printf("\n");
+    printTable(opts, table);
 }
 
-/**
- * One custom-TLB-geometry run: a per-cell engine build, safe to invoke
- * concurrently (every object below is cell-local; the workload stream
- * is seeded from the cell's identity).
- */
-sim::SimStats
-runTpsTlbVariant(const FigOptions &opts, const std::string &wl,
-                 unsigned entries, bool skewed)
+/** One TPS-TLB geometry of the capacity and organization sweeps. */
+struct TpsTlb
 {
-    os::PhysMemory pm(opts.physBytes);
-    sim::EngineConfig ecfg;
-    ecfg.mmu.tlb = core::designTlbConfig(core::Design::Tps);
-    ecfg.mmu.tlb.tpsTlbEntries = entries;
-    ecfg.mmu.tlb.tpsTlbSkewed = skewed;
-    auto workload = workloads::makeWorkload(
-        wl, opts.scale, cellSeed(wl, "tps-tlb-sweep", opts.scale));
-    ecfg.cycle.instsPerAccess = workload->info().instsPerAccess;
-    sim::Engine engine(pm, core::makePolicy(core::Design::Tps), ecfg);
-    engine.addWorkload(*workload);
-    return engine.run();
-}
+    std::string name;
+    unsigned entries;
+    bool skewed;
+};
 
 void
-tpsTlbCapacity(const FigOptions &opts, const std::string &wl)
+tpsTlbSweep(const FigOptions &opts, const std::string &wl,
+            const char *title, const char *column,
+            const std::vector<TpsTlb> &variants)
 {
-    std::printf("-- TPS TLB capacity (%s) --\n", wl.c_str());
-    const std::vector<unsigned> capacities = {8u, 16u, 32u, 64u};
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    auto stats = runner.map(
-        capacities,
-        [&](unsigned entries) {
-            return runTpsTlbVariant(opts, wl, entries, false);
-        },
-        [&](unsigned entries, size_t) {
-            return wl + "/tps-tlb-" + std::to_string(entries);
-        });
-
-    Table table({"entries", "L1 miss rate", "walks"});
-    for (size_t i = 0; i < capacities.size(); ++i) {
-        table.addRow({fmtCount(capacities[i]),
-                      fmtPercent(percent(stats[i].l1TlbMisses,
-                                         stats[i].accesses)),
-                      fmtCount(stats[i].tlbMisses)});
+    std::printf("-- TPS TLB %s (%s) --\n", title, wl.c_str());
+    std::vector<core::RunOptions> cells;
+    for (const TpsTlb &tlb : variants) {
+        core::RunOptions run = makeRun(opts, wl, core::Design::Tps);
+        run.tpsTlbEntries = tlb.entries;
+        run.tpsTlbSkewed = tlb.skewed;
+        cells.push_back(run);
     }
-    table.print(std::cout);
-    std::printf("\n");
-}
+    CellResults results = runCells(opts, cells);
 
-void
-tpsTlbOrganization(const FigOptions &opts, const std::string &wl)
-{
-    std::printf("-- TPS TLB organization (%s) --\n", wl.c_str());
-    struct Org
-    {
-        const char *name;
-        bool skewed;
-        unsigned entries;
-    };
-    const std::vector<Org> orgs = {Org{"fully-assoc 32", false, 32u},
-                                   Org{"skewed 32x4", true, 32u},
-                                   Org{"skewed 64x4", true, 64u}};
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    auto stats = runner.map(
-        orgs,
-        [&](const Org &org) {
-            return runTpsTlbVariant(opts, wl, org.entries, org.skewed);
-        },
-        [&](const Org &org, size_t) {
-            return wl + "/" + org.name;
-        });
-
-    Table table({"organization", "L1 miss rate", "walks"});
-    for (size_t i = 0; i < orgs.size(); ++i) {
-        table.addRow({orgs[i].name,
-                      fmtPercent(percent(stats[i].l1TlbMisses,
-                                         stats[i].accesses)),
-                      fmtCount(stats[i].tlbMisses)});
+    Table table({column, "L1 miss rate", "walks"});
+    for (size_t i = 0; i < variants.size(); ++i) {
+        if (!results[i]) {
+            addHoleRow(table, variants[i].name);
+            continue;
+        }
+        const sim::SimStats &stats = results[i]->stats;
+        table.addRow({variants[i].name,
+                      fmtPercent(percent(stats.l1TlbMisses,
+                                         stats.accesses)),
+                      fmtCount(stats.tlbMisses)});
     }
-    table.print(std::cout);
-    std::printf("\n");
+    printTable(opts, table);
 }
 
 void
@@ -174,19 +133,22 @@ mmuCacheEffect(const FigOptions &opts, const std::string &wl)
         run.noMmuCache = disabled;
         cells.push_back(run);
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"MMU caches", "walks", "walk refs", "refs per walk"});
     for (size_t i = 0; i < cells.size(); ++i) {
-        table.addRow({cells[i].noMmuCache ? "off" : "on",
-                      fmtCount(stats[i].tlbMisses),
-                      fmtCount(stats[i].walkMemRefs),
-                      fmtDouble(ratio(stats[i].walkMemRefs,
-                                      stats[i].tlbMisses),
+        std::string label = cells[i].noMmuCache ? "off" : "on";
+        if (!results[i]) {
+            addHoleRow(table, label);
+            continue;
+        }
+        const sim::SimStats &stats = results[i]->stats;
+        table.addRow({label, fmtCount(stats.tlbMisses),
+                      fmtCount(stats.walkMemRefs),
+                      fmtDouble(ratio(stats.walkMemRefs, stats.tlbMisses),
                                 2)});
     }
-    table.print(std::cout);
-    std::printf("\n");
+    printTable(opts, table);
 }
 
 } // namespace
@@ -208,9 +170,13 @@ main(int argc, char **argv)
 
     thresholdSweep(opts, sparse_wl);
     aliasModes(opts, wl);
-    tpsTlbCapacity(opts, wl);
-    tpsTlbOrganization(opts, sparse_wl);
+    tpsTlbSweep(opts, wl, "capacity", "entries",
+                {{"8", 8, false}, {"16", 16, false}, {"32", 32, false},
+                 {"64", 64, false}});
+    tpsTlbSweep(opts, sparse_wl, "organization", "organization",
+                {{"fully-assoc 32", 32, false},
+                 {"skewed 32x4", 32, true},
+                 {"skewed 64x4", 64, true}});
     mmuCacheEffect(opts, "gups");
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

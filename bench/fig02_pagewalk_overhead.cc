@@ -49,24 +49,29 @@ main(int argc, char **argv)
         cells.push_back(makeSmtRun(opts, wl, core::Design::Thp));
         cells.push_back(virt);
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "native", "native-SMT", "virtualized"});
     Summary native_sum, smt_sum, virt_sum;
     for (size_t i = 0; i < list.size(); ++i) {
-        double n = walkPercent(stats[3 * i]);
-        double s = walkPercent(stats[3 * i + 1]);
-        double v = walkPercent(stats[3 * i + 2]);
+        auto row = rowCells(results, 3 * i, 3);
+        if (row.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        double n = walkPercent(row[0]->stats);
+        double s = walkPercent(row[1]->stats);
+        double v = walkPercent(row[2]->stats);
         native_sum.add(n);
         smt_sum.add(s);
         virt_sum.add(v);
         table.addRow({list[i], fmtPercent(n), fmtPercent(s),
                       fmtPercent(v)});
     }
-    table.addRow({"mean", fmtPercent(native_sum.mean()),
-                  fmtPercent(smt_sum.mean()),
-                  fmtPercent(virt_sum.mean())});
+    addSummaryRow(opts, table, "mean", native_sum.count(), list.size(),
+                  {fmtPercent(native_sum.mean()),
+                   fmtPercent(smt_sum.mean()),
+                   fmtPercent(virt_sum.mean())});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

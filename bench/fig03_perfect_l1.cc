@@ -32,21 +32,26 @@ main(int argc, char **argv)
         cells.push_back(l2);
         cells.push_back(l1);
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "perfectL2 cycles", "perfectL1 cycles",
                  "speedup"});
     Summary sum;
     for (size_t i = 0; i < list.size(); ++i) {
-        uint64_t c_l2 = stats[2 * i].cycles;
-        uint64_t c_l1 = stats[2 * i + 1].cycles;
+        auto row = rowCells(results, 2 * i, 2);
+        if (row.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        uint64_t c_l2 = row[0]->stats.cycles;
+        uint64_t c_l1 = row[1]->stats.cycles;
         double speedup = ratio(c_l2, c_l1);
         sum.add(speedup);
         table.addRow({list[i], fmtCount(c_l2), fmtCount(c_l1),
                       fmtDouble(speedup, 3)});
     }
-    table.addRow({"geomean", "", "", fmtDouble(sum.geomean(), 3)});
+    addSummaryRow(opts, table, "geomean", sum.count(), list.size(),
+                  {"", "", fmtDouble(sum.geomean(), 3)});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -39,12 +39,16 @@ main(int argc, char **argv)
     std::vector<core::RunOptions> cells;
     for (const auto &wl : list)
         cells.push_back(makeRun(opts, wl, core::Design::Thp));
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "MPKI", "selected"});
     for (size_t i = 0; i < list.size(); ++i) {
         const auto &wl = list[i];
-        double mpki = stats[i].mpki();
+        if (!results[i]) {
+            addHoleRow(table, wl);
+            continue;
+        }
+        double mpki = results[i]->stats.mpki();
         std::string verdict = is_big_data(wl)
                                   ? "yes (big-data)"
                                   : (mpki > 5.0 ? "yes (MPKI > 5)"
@@ -52,6 +56,5 @@ main(int argc, char **argv)
         table.addRow({wl, fmtDouble(mpki, 2), verdict});
     }
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -30,15 +30,20 @@ main(int argc, char **argv)
         cells.push_back(makeRun(opts, wl, core::Design::Base4k));
         cells.push_back(makeRun(opts, wl, core::Design::Tps));
     }
-    auto runs = runCellsWithCensus(opts, cells);
+    CellResults results = runCells(opts, cells, true);
 
     Table table({"benchmark", "4K bytes", "2M-only bytes", "increase",
                  "tps increase"});
     Summary sum;
     for (size_t i = 0; i < list.size(); ++i) {
         const auto &wl = list[i];
-        const CensusRun &base = runs[2 * i];
-        const CensusRun &tps = runs[2 * i + 1];
+        auto row = rowCells(results, 2 * i, 2);
+        if (row.empty()) {
+            addHoleRow(table, wl);
+            continue;
+        }
+        const core::Census &base = row[0]->census;
+        const core::Census &tps = row[1]->census;
 
         uint64_t bytes_4k = base.mappedBytes;
         uint64_t bytes_2m = base.chunks2m << vm::kPageBits2M;
@@ -52,8 +57,8 @@ main(int argc, char **argv)
         table.addRow({wl, fmtSize(bytes_4k), fmtSize(bytes_2m),
                       fmtPercent(increase), fmtPercent(tps_increase)});
     }
-    table.addRow({"mean", "", "", fmtPercent(sum.mean()), ""});
+    addSummaryRow(opts, table, "mean", sum.count(), list.size(),
+                  {"", "", fmtPercent(sum.mean()), ""});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -28,15 +28,20 @@ main(int argc, char **argv)
     for (const auto &wl : list)
         for (core::Design d : designs)
             cells.push_back(makeRun(opts, wl, d));
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "thp misses", "tps", "colt", "rmm"});
     Summary tps_sum, colt_sum, rmm_sum;
     for (size_t i = 0; i < list.size(); ++i) {
-        uint64_t thp = stats[4 * i].l1TlbMisses;
-        uint64_t tps = stats[4 * i + 1].l1TlbMisses;
-        uint64_t colt = stats[4 * i + 2].l1TlbMisses;
-        uint64_t rmm = stats[4 * i + 3].l1TlbMisses;
+        auto row = rowCells(results, 4 * i, 4);
+        if (row.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        uint64_t thp = row[0]->stats.l1TlbMisses;
+        uint64_t tps = row[1]->stats.l1TlbMisses;
+        uint64_t colt = row[2]->stats.l1TlbMisses;
+        uint64_t rmm = row[3]->stats.l1TlbMisses;
 
         double e_tps = elimPercent(thp, tps);
         double e_colt = elimPercent(thp, colt);
@@ -47,10 +52,10 @@ main(int argc, char **argv)
         table.addRow({list[i], fmtCount(thp), fmtPercent(e_tps),
                       fmtPercent(e_colt), fmtPercent(e_rmm)});
     }
-    table.addRow({"mean", "", fmtPercent(tps_sum.mean()),
-                  fmtPercent(colt_sum.mean()),
-                  fmtPercent(rmm_sum.mean())});
+    addSummaryRow(opts, table, "mean", tps_sum.count(), list.size(),
+                  {"", fmtPercent(tps_sum.mean()),
+                   fmtPercent(colt_sum.mean()),
+                   fmtPercent(rmm_sum.mean())});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

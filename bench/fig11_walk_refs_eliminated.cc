@@ -31,17 +31,22 @@ main(int argc, char **argv)
     for (const auto &wl : list)
         for (core::Design d : designs)
             cells.push_back(makeRun(opts, wl, d));
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "thp walk refs", "tps", "tps-eager",
                  "colt", "rmm"});
     Summary tps_sum, eager_sum, colt_sum, rmm_sum;
     for (size_t i = 0; i < list.size(); ++i) {
-        uint64_t thp = stats[5 * i].walkMemRefs;
-        uint64_t tps = stats[5 * i + 1].walkMemRefs;
-        uint64_t eager = stats[5 * i + 2].walkMemRefs;
-        uint64_t colt = stats[5 * i + 3].walkMemRefs;
-        uint64_t rmm = stats[5 * i + 4].walkMemRefs;
+        auto row = rowCells(results, 5 * i, 5);
+        if (row.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        uint64_t thp = row[0]->stats.walkMemRefs;
+        uint64_t tps = row[1]->stats.walkMemRefs;
+        uint64_t eager = row[2]->stats.walkMemRefs;
+        uint64_t colt = row[3]->stats.walkMemRefs;
+        uint64_t rmm = row[4]->stats.walkMemRefs;
 
         double e_tps = elimPercent(thp, tps);
         double e_eager = elimPercent(thp, eager);
@@ -55,11 +60,11 @@ main(int argc, char **argv)
                       fmtPercent(e_eager), fmtPercent(e_colt),
                       fmtPercent(e_rmm)});
     }
-    table.addRow({"mean", "", fmtPercent(tps_sum.mean()),
-                  fmtPercent(eager_sum.mean()),
-                  fmtPercent(colt_sum.mean()),
-                  fmtPercent(rmm_sum.mean())});
+    addSummaryRow(opts, table, "mean", tps_sum.count(), list.size(),
+                  {"", fmtPercent(tps_sum.mean()),
+                   fmtPercent(eager_sum.mean()),
+                   fmtPercent(colt_sum.mean()),
+                   fmtPercent(rmm_sum.mean())});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -30,15 +30,20 @@ main(int argc, char **argv)
         cells.push_back(makeRun(opts, wl, core::Design::Base4k));
         cells.push_back(makeRun(opts, wl, core::Design::Thp));
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "TC thp-off", "PWC thp-off", "TC thp-on",
                  "PWC thp-on", "savable"});
     Summary sum;
     for (size_t i = 0; i < list.size(); ++i) {
         const auto &wl = list[i];
-        const sim::SimStats &off = stats[2 * i];
-        const sim::SimStats &on = stats[2 * i + 1];
+        auto row = rowCells(results, 2 * i, 2);
+        if (row.empty()) {
+            addHoleRow(table, wl);
+            continue;
+        }
+        const sim::SimStats &off = row[0]->stats;
+        const sim::SimStats &on = row[1]->stats;
         sim::CounterPoint p_off{off.cycles, off.walkCycles};
         sim::CounterPoint p_on{on.cycles, on.walkCycles};
         double savable = sim::savablePwcFraction(p_off, p_on);
@@ -47,8 +52,8 @@ main(int argc, char **argv)
                       fmtCount(on.cycles), fmtCount(on.walkCycles),
                       fmtPercent(100.0 * savable)});
     }
-    table.addRow({"mean", "", "", "", "", fmtPercent(sum.mean())});
+    addSummaryRow(opts, table, "mean", sum.count(), list.size(),
+                  {"", "", "", "", fmtPercent(sum.mean())});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

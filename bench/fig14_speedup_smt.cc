@@ -21,35 +21,6 @@ main(int argc, char **argv)
                 "TPS 21.6% mean vs RMM 15.2% and CoLT 4.7%; TPS "
                 "realizes 97.7% of the maximal ideal savings");
 
-    const auto &list = benchList(opts);
-    auto rows = computeAllSpeedups(opts, list, true);
-
-    Table table({"benchmark", "tps", "rmm", "colt", "ideal",
-                 "tps %-of-ideal"});
-    Summary tps_sum, rmm_sum, colt_sum, frac_sum;
-    for (size_t i = 0; i < list.size(); ++i) {
-        const auto &wl = list[i];
-        const SpeedupRow &row = rows[i];
-        tps_sum.add(row.tps);
-        rmm_sum.add(row.rmm);
-        colt_sum.add(row.colt);
-        frac_sum.add(100.0 * row.tpsFracOfIdeal);
-        table.addRow({wl, fmtDouble(row.tps, 3), fmtDouble(row.rmm, 3),
-                      fmtDouble(row.colt, 3),
-                      fmtDouble(row.idealSpeedup, 3),
-                      fmtPercent(100.0 * row.tpsFracOfIdeal)});
-    }
-    table.addRow({"mean", fmtDouble(tps_sum.mean(), 3),
-                  fmtDouble(rmm_sum.mean(), 3),
-                  fmtDouble(colt_sum.mean(), 3), "",
-                  fmtPercent(frac_sum.mean())});
-    printTable(opts, table);
-
-    std::printf("mean improvement: tps %+.1f%%  rmm %+.1f%%  "
-                "colt %+.1f%%\n",
-                100.0 * (tps_sum.mean() - 1.0),
-                100.0 * (rmm_sum.mean() - 1.0),
-                100.0 * (colt_sum.mean() - 1.0));
-    finishBench(opts);
-    return 0;
+    printSpeedupFigure(opts, true);
+    return finishBench(opts);
 }

@@ -74,6 +74,5 @@ main(int argc, char **argv)
         std::printf("contiguity score: %.3f\n\n",
                     obs::contiguityScore(counts));
     }
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -40,19 +40,25 @@ main(int argc, char **argv)
         cells.push_back(thp_run);
         cells.push_back(tps_run);
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "thp misses", "tps misses", "eliminated"});
     Summary sum;
     for (size_t i = 0; i < list.size(); ++i) {
-        uint64_t thp = stats[2 * i].l1TlbMisses;
-        uint64_t tps = stats[2 * i + 1].l1TlbMisses;
+        auto row = rowCells(results, 2 * i, 2);
+        if (row.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        uint64_t thp = row[0]->stats.l1TlbMisses;
+        uint64_t tps = row[1]->stats.l1TlbMisses;
         double elim = elimPercent(thp, tps);
         sum.add(elim);
         table.addRow({list[i], fmtCount(thp), fmtCount(tps),
                       fmtPercent(elim)});
     }
-    table.addRow({"mean", "", "", fmtPercent(sum.mean())});
+    addSummaryRow(opts, table, "mean", sum.count(), list.size(),
+                  {"", "", fmtPercent(sum.mean())});
     printTable(opts, table);
 
     if (opts.memTelemetry) {
@@ -64,7 +70,9 @@ main(int argc, char **argv)
         Table mem({"benchmark", "design", "extfrag@2M", "contiguity",
                    "reservations", "largest page"});
         for (size_t i = 0; i < cells.size(); ++i) {
-            const obs::MemTelemetryData &m = stats[i].mem;
+            if (!results[i])
+                continue;
+            const obs::MemTelemetryData &m = results[i]->stats.mem;
             if (!m.enabled || m.samples.empty())
                 continue;
             const obs::MemEpochSample &last = m.samples.back();
@@ -86,6 +94,5 @@ main(int argc, char **argv)
         std::printf("end-of-run memory telemetry (final sample):\n");
         printTable(opts, mem);
     }
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

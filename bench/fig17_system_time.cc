@@ -31,15 +31,20 @@ main(int argc, char **argv)
         cells.push_back(makeRun(opts, wl, core::Design::Thp));
         cells.push_back(makeRun(opts, wl, core::Design::Tps));
     }
-    auto stats = runCells(opts, cells);
+    CellResults results = runCells(opts, cells);
 
     Table table({"benchmark", "thp steady", "tps steady",
                  "thp whole-run", "tps whole-run", "tps/thp OS cycles"});
     Summary thp_sum, tps_sum;
     for (size_t i = 0; i < list.size(); ++i) {
         const auto &wl = list[i];
-        const sim::SimStats &thp = stats[2 * i];
-        const sim::SimStats &tps = stats[2 * i + 1];
+        auto row = rowCells(results, 2 * i, 2);
+        if (row.empty()) {
+            addHoleRow(table, wl);
+            continue;
+        }
+        const sim::SimStats &thp = row[0]->stats;
+        const sim::SimStats &tps = row[1]->stats;
         double thp_steady = 100.0 * thp.systemTimeFraction();
         double tps_steady = 100.0 * tps.systemTimeFraction();
         thp_sum.add(thp_steady);
@@ -52,9 +57,9 @@ main(int argc, char **argv)
                              thp.osWork.totalCycles()),
                        2)});
     }
-    table.addRow({"mean", fmtPercent(thp_sum.mean()),
-                  fmtPercent(tps_sum.mean()), "", "", ""});
+    addSummaryRow(opts, table, "mean", thp_sum.count(), list.size(),
+                  {fmtPercent(thp_sum.mean()), fmtPercent(tps_sum.mean()),
+                   "", "", ""});
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

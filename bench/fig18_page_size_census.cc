@@ -28,14 +28,17 @@ main(int argc, char **argv)
     std::vector<core::RunOptions> cells;
     for (const auto &wl : list)
         cells.push_back(makeRun(opts, wl, core::Design::Tps));
-    std::vector<CensusRun> runs = runCellsWithCensus(opts, cells);
+    CellResults results = runCells(opts, cells, true);
 
     // Columns: one per page size that appears anywhere.
     std::set<uint64_t> sizes;
-    for (const auto &run : runs)
-        for (const auto &[pb, count] : run.pageSizes.buckets())
+    for (const auto &res : results) {
+        if (!res)
+            continue;
+        for (const auto &[pb, count] : res->census.pageSizes.buckets())
             if (count > 0)
                 sizes.insert(pb);
+    }
 
     std::vector<std::string> headers{"benchmark"};
     for (uint64_t pb : sizes)
@@ -44,15 +47,19 @@ main(int argc, char **argv)
     Table table(std::move(headers));
 
     for (size_t i = 0; i < list.size(); ++i) {
+        if (!results[i]) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        const Histogram &pages = results[i]->census.pageSizes;
         std::vector<std::string> row{list[i]};
         for (uint64_t pb : sizes) {
-            uint64_t count = runs[i].pageSizes.at(pb);
+            uint64_t count = pages.at(pb);
             row.push_back(count == 0 ? "." : fmtCount(count));
         }
-        row.push_back(fmtCount(runs[i].pageSizes.total()));
+        row.push_back(fmtCount(pages.total()));
         table.addRow(std::move(row));
     }
     printTable(opts, table);
-    finishBench(opts);
-    return 0;
+    return finishBench(opts);
 }

@@ -6,19 +6,18 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "core/experiment_runner.hh"
 #include "obs/event_trace.hh"
-#include "obs/mem_telemetry.hh"
 #include "obs/profile.hh"
 #include "obs/resume.hh"
+#include "obs/run_manifest.hh"
 #include "obs/stats_bindings.hh"
 #include "sim/perf_model.hh"
 #include "util/logging.hh"
-#include "util/sim_error.hh"
 #include "workloads/registry.hh"
 
 namespace tps::bench {
@@ -54,6 +53,9 @@ struct BenchContext
 
 BenchContext g_bench;
 
+/** What a table prints for a value whose cells did not all run. */
+constexpr const char *kHole = "—";
+
 /**
  * Push the (re)planned grid's shard identity into the monitor, so
  * heartbeats and traces carry the current fingerprint.  Planning only
@@ -88,6 +90,21 @@ restoredArtifact(const core::RunOptions &run, const obs::Json &pure)
     cell.attempts = 0;
     cell.restored = pure;
     return cell;
+}
+
+/** The bench-wide sweep monitor; nullptr without --trace/--progress. */
+obs::SweepMonitor *
+sweepMonitor()
+{
+    return g_bench.monitor.get();
+}
+
+/** Record a cell artifact (failed, restored, or fresh). */
+void
+recordArtifact(obs::CellArtifact cell)
+{
+    std::lock_guard<std::mutex> lock(g_bench.mu);
+    g_bench.artifacts.push_back(std::move(cell));
 }
 
 double
@@ -142,37 +159,7 @@ initBench(const std::string &name, const FigOptions &opts)
     }
 }
 
-obs::SweepMonitor *
-sweepMonitor()
-{
-    return g_bench.monitor.get();
-}
-
-obs::ShardPlan &
-shardPlan()
-{
-    return g_bench.plan;
-}
-
-void
-recordRun(const core::RunOptions &run, const sim::SimStats &stats,
-          double wallSeconds)
-{
-    obs::CellArtifact cell;
-    cell.options = run;
-    cell.stats = stats;
-    cell.wallSeconds = wallSeconds;
-    recordArtifact(std::move(cell));
-}
-
-void
-recordArtifact(obs::CellArtifact cell)
-{
-    std::lock_guard<std::mutex> lock(g_bench.mu);
-    g_bench.artifacts.push_back(std::move(cell));
-}
-
-void
+int
 finishBench(const FigOptions &opts)
 {
     if (opts.shard.active()) {
@@ -210,8 +197,8 @@ finishBench(const FigOptions &opts)
         std::lock_guard<std::mutex> lock(g_bench.mu);
         if (g_bench.traceCells.empty()) {
             tps_warn("--event-trace=%s: no cells were traced (resumed "
-                     "cells and speedup pipelines record no events); "
-                     "writing an empty container",
+                     "cells record no events); writing an empty "
+                     "container",
                      opts.eventTracePath.c_str());
         }
         size_t n = g_bench.traceCells.size();
@@ -238,6 +225,21 @@ finishBench(const FigOptions &opts)
                          e.calls ? double(e.ns) / double(e.calls) : 0.0);
         }
     }
+    std::lock_guard<std::mutex> lock(g_bench.mu);
+    size_t failed = 0;
+    for (const obs::CellArtifact &cell : g_bench.artifacts) {
+        if (cell.status == core::CellStatus::Failed ||
+            cell.status == core::CellStatus::Timeout) {
+            ++failed;
+        }
+    }
+    if (failed == 0)
+        return 0;
+    std::fprintf(stderr, "%zu cell(s) failed or timed out; their rows "
+                         "print as %s\n", failed, kHole);
+    // A shard's failures are holes in its partial manifest, which
+    // tps-merge --require-complete reports for the whole sweep.
+    return opts.shard.active() ? 0 : 1;
 }
 
 namespace {
@@ -445,6 +447,10 @@ printHeader(const std::string &fig_id, const std::string &title,
 void
 printTable(const FigOptions &opts, const Table &table)
 {
+    if (opts.shard.active()) {
+        std::cout << "partial (shard " << opts.shard.index << "/"
+                  << opts.shard.count << ")\n";
+    }
     if (opts.csv)
         table.printCsv(std::cout);
     else
@@ -489,56 +495,101 @@ elimPercent(uint64_t baseline, uint64_t with)
     return e < 0.0 ? 0.0 : e;
 }
 
-CensusRun
-runWithCensus(const core::RunOptions &opts)
+namespace {
+
+/** Summary rows are never printed by a shard: it owns only a slice. */
+bool
+printsSummaries(const FigOptions &opts)
 {
-    os::PhysMemory pm(core::effectivePhysBytes(opts), opts.denseState);
-    std::optional<os::Fragmenter> fragmenter;
-    if (opts.fragmented) {
-        fragmenter.emplace(pm, opts.fragmenter);
-        fragmenter->run();
-    }
-
-    sim::EngineConfig ecfg = core::makeEngineConfig(opts);
-
-    // Same per-cell seed as core::runExperiment so a census run and a
-    // stats run of the same cell see the same access stream.
-    auto workload = workloads::makeWorkload(opts.workload, opts.scale,
-                                            core::runSeed(opts),
-                                            opts.footprintBytes);
-
-    // Census runs bypass core::runExperiment, so attach the telemetry
-    // probe here.  Declared before the engine (teardown unmaps still
-    // fire the hooks) and attached before addWorkload so eager-policy
-    // reservations get birth stamps.
-    std::optional<obs::MemTelemetry> tel;
-    sim::Engine engine(
-        pm, core::makePolicy(opts.design, opts.tpsThreshold), ecfg);
-    if (opts.memTelemetry)
-        engine.setMemTelemetry(&tel.emplace());
-    engine.addWorkload(*workload);
-
-    CensusRun out;
-    out.stats = engine.run();
-    out.pageSizes = engine.addressSpace().pageSizeCensus();
-    out.mappedBytes = engine.addressSpace().mappedBytes();
-    out.touchedPages = engine.addressSpace().touchedBasePages();
-    std::set<uint64_t> chunks;
-    engine.addressSpace().pageTable().forEachLeaf(
-        [&](vm::Vaddr base, const vm::LeafInfo &leaf) {
-            uint64_t first = base >> vm::kPageBits2M;
-            uint64_t last = (base + (1ull << leaf.pageBits) - 1) >>
-                            vm::kPageBits2M;
-            for (uint64_t c = first; c <= last; ++c)
-                chunks.insert(c);
-        });
-    out.chunks2m = chunks.size();
-    return out;
+    return !opts.shard.active();
 }
 
-std::vector<sim::SimStats>
+/** @p label, plus "(k of n rows)" when some rows had no data. */
+std::string
+summaryLabel(const std::string &label, size_t covered, size_t rows)
+{
+    if (covered == rows)
+        return label;
+    return label + " (" + std::to_string(covered) + " of " +
+           std::to_string(rows) + " rows)";
+}
+
+/** One benchmark's Fig. 13/14 speedup estimates. */
+struct SpeedupRow
+{
+    double tps = 1.0;
+    double rmm = 1.0;
+    double colt = 1.0;
+    double idealSpeedup = 1.0;    //!< eliminate all translation time
+    double tpsFracOfIdeal = 1.0;  //!< share of ideal savings TPS gets
+};
+
+/** Cells per benchmark in the Sec. IV-B speedup pipeline. */
+constexpr size_t kSpeedupCells = 7;
+
+/**
+ * The paper's Sec. IV-B estimation cells for one benchmark, in the
+ * order speedupRow() reads them: the THP baseline (real, perfect-L2
+ * and perfect-L1 timing), the THP-off calibration point, then TPS,
+ * RMM and CoLT.  With @p smt every configuration runs with a competing
+ * SMT thread (Figure 14) instead of alone (Figure 13).
+ */
+std::vector<core::RunOptions>
+speedupCells(const FigOptions &opts, const std::string &wl, bool smt)
+{
+    auto cell = [&](core::Design d) {
+        return smt ? makeSmtRun(opts, wl, d) : makeRun(opts, wl, d);
+    };
+    core::RunOptions perfect_l2 = cell(core::Design::Thp);
+    perfect_l2.timing = sim::TlbTimingMode::PerfectL2;
+    core::RunOptions perfect_l1 = perfect_l2;
+    perfect_l1.timing = sim::TlbTimingMode::PerfectL1;
+    return {cell(core::Design::Thp), perfect_l2, perfect_l1,
+            cell(core::Design::Base4k), cell(core::Design::Tps),
+            cell(core::Design::Rmm), cell(core::Design::Colt)};
+}
+
+/** Apply the analytic model to one benchmark's speedupCells(). */
+SpeedupRow
+speedupRow(const std::vector<const CellResult *> &cells)
+{
+    // THP baseline: real timing plus the two perfect-TLB reference
+    // points and the THP-disabled calibration point.
+    const sim::SimStats &thp = cells[0]->stats;
+    const sim::SimStats &off = cells[3]->stats;
+    double savable = sim::savablePwcFraction(
+        sim::CounterPoint{off.cycles, off.walkCycles},
+        sim::CounterPoint{thp.cycles, thp.walkCycles});
+
+    auto estimate = [&](const sim::SimStats &s) {
+        sim::SpeedupInputs in;
+        in.baselineCycles = thp.cycles;
+        in.perfectL2Cycles = cells[1]->stats.cycles;
+        in.perfectL1Cycles = cells[2]->stats.cycles;
+        in.baselinePwCycles = thp.walkCycles;
+        in.savableFraction = savable;
+        in.l1MissElimination =
+            elimPercent(thp.l1TlbMisses, s.l1TlbMisses) / 100.0;
+        in.walkRefElimination =
+            elimPercent(thp.walkMemRefs, s.walkMemRefs) / 100.0;
+        return sim::estimateSpeedup(in);
+    };
+
+    sim::SpeedupResult tps = estimate(cells[4]->stats);
+    SpeedupRow row;
+    row.tps = tps.speedup;
+    row.rmm = estimate(cells[5]->stats).speedup;
+    row.colt = estimate(cells[6]->stats).speedup;
+    row.idealSpeedup = tps.idealSpeedup;
+    row.tpsFracOfIdeal = tps.fractionOfIdeal();
+    return row;
+}
+
+} // namespace
+
+CellResults
 runCells(const FigOptions &opts,
-         const std::vector<core::RunOptions> &cells)
+         const std::vector<core::RunOptions> &cells, bool census)
 {
     // Plan every cell (all shards register the full grid, so the
     // fingerprints match), then keep only the owned slice.  Unowned
@@ -550,15 +601,19 @@ runCells(const FigOptions &opts,
     syncShardMonitor();
 
     // Restore completed cells from the prior manifest; only the rest
-    // go to the pool.
+    // go to the pool.  The manifest holds no census, so census cells
+    // always run.
     std::vector<obs::CellArtifact> arts(cells.size());
+    CellResults results(cells.size());
     std::vector<core::RunOptions> to_run;
     std::vector<size_t> to_run_idx;
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!owned[i])
             continue;
-        if (const obs::Json *pure = resumeLookup(cells[i])) {
+        const obs::Json *pure = census ? nullptr : resumeLookup(cells[i]);
+        if (pure) {
             arts[i] = restoredArtifact(cells[i], *pure);
+            results[i] = CellResult{arts[i].stats, {}};
         } else {
             to_run.push_back(cells[i]);
             to_run_idx.push_back(i);
@@ -571,6 +626,7 @@ runCells(const FigOptions &opts,
     policy.retries = opts.retries;
     policy.eventTrace = g_bench.traceRequested;
     policy.profile = g_bench.profileRequested;
+    policy.census = census;
     std::vector<core::CellOutcome> outcomes =
         runner.runGuarded(to_run, policy);
     for (size_t j = 0; j < outcomes.size(); ++j) {
@@ -583,7 +639,11 @@ runCells(const FigOptions &opts,
         cell.errorKind = std::move(out.errorKind);
         cell.attempts = out.attempts;
         cell.wallSeconds = out.seconds;
-        if (cell.status != core::CellStatus::Ok) {
+        if (cell.status == core::CellStatus::Ok) {
+            results[to_run_idx[j]] = CellResult{
+                cell.stats, out.census ? std::move(*out.census)
+                                       : core::Census{}};
+        } else {
             std::fprintf(stderr,
                          "cell %s %s after %u attempt(s): %s\n",
                          cellLabel(cell.options).c_str(),
@@ -609,235 +669,101 @@ runCells(const FigOptions &opts,
 
     // Record in input order so the manifest layout is independent of
     // pool scheduling (the golden test compares it across --jobs).
-    // Unowned cells contribute zeroed stats and no manifest entry.
-    std::vector<sim::SimStats> stats;
-    stats.reserve(cells.size());
+    // Unowned cells get no manifest entry.
     for (size_t i = 0; i < arts.size(); ++i) {
-        stats.push_back(arts[i].stats);
         if (owned[i])
             recordArtifact(std::move(arts[i]));
     }
-    return stats;
+    return results;
 }
 
-std::vector<CensusRun>
-runCellsWithCensus(const FigOptions &opts,
-                   const std::vector<core::RunOptions> &cells)
+std::vector<const CellResult *>
+rowCells(const CellResults &results, size_t first, size_t n)
 {
-    // Census cells always execute, even with --resume: the manifest
-    // stores only the stats, not the end-of-run page-table census.
-    std::vector<bool> owned(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-        owned[i] = g_bench.plan.planCell(cells[i]);
-    syncShardMonitor();
-    std::vector<core::RunOptions> to_run;
-    std::vector<size_t> to_run_idx;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (owned[i]) {
-            to_run.push_back(cells[i]);
-            to_run_idx.push_back(i);
-        }
+    std::vector<const CellResult *> row;
+    for (size_t i = first; i < first + n; ++i) {
+        if (!results[i])
+            return {};
+        row.push_back(&*results[i]);
     }
-
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    struct Guarded
-    {
-        CensusRun run;
-        obs::CellArtifact cell;
-    };
-    unsigned retries = opts.retries;
-    auto out = runner.map(
-        to_run,
-        [retries](const core::RunOptions &cell_opts) {
-            auto t0 = std::chrono::steady_clock::now();
-            Guarded r;
-            r.cell.options = cell_opts;
-            for (unsigned attempt = 0; attempt <= retries; ++attempt) {
-                r.cell.attempts = attempt + 1;
-                try {
-                    r.run = runWithCensus(cell_opts);
-                    r.cell.stats = r.run.stats;
-                    r.cell.status = core::CellStatus::Ok;
-                    r.cell.error.clear();
-                    r.cell.errorKind.clear();
-                    break;
-                } catch (const SimError &e) {
-                    r.run = CensusRun{};
-                    r.cell.stats = sim::SimStats{};
-                    r.cell.status = e.kind() == ErrorKind::Timeout
-                                        ? core::CellStatus::Timeout
-                                        : core::CellStatus::Failed;
-                    r.cell.error = e.what();
-                    r.cell.errorKind = errorKindName(e.kind());
-                } catch (const std::exception &e) {
-                    r.run = CensusRun{};
-                    r.cell.stats = sim::SimStats{};
-                    r.cell.status = core::CellStatus::Failed;
-                    r.cell.error = e.what();
-                    r.cell.errorKind = "exception";
-                }
-            }
-            r.cell.wallSeconds = secondsSince(t0);
-            if (obs::SweepMonitor *monitor = sweepMonitor()) {
-                monitor->annotate(r.cell.attempts, r.cell.errorKind,
-                                  r.cell.wallSeconds * 1e3);
-            }
-            return r;
-        },
-        [](const core::RunOptions &cell, size_t) {
-            return cellLabel(cell);
-        });
-    // Index-aligned with the input grid; unowned cells stay default.
-    std::vector<CensusRun> runs(cells.size());
-    for (size_t j = 0; j < out.size(); ++j) {
-        if (out[j].cell.status != core::CellStatus::Ok) {
-            std::fprintf(stderr,
-                         "cell %s %s after %u attempt(s): %s\n",
-                         cellLabel(to_run[j]).c_str(),
-                         core::cellStatusName(out[j].cell.status),
-                         out[j].cell.attempts, out[j].cell.error.c_str());
-        }
-        recordArtifact(std::move(out[j].cell));
-        runs[to_run_idx[j]] = std::move(out[j].run);
-    }
-    return runs;
-}
-
-std::vector<SpeedupRow>
-computeAllSpeedups(const FigOptions &opts,
-                   const std::vector<std::string> &wls, bool smt)
-{
-    // Coarse-grained: one task per benchmark; each runs its own
-    // seven-configuration estimation pipeline serially.  For sharding,
-    // a whole pipeline is one atomic unit (its cells share
-    // intermediate results), so distribution happens per benchmark.
-    std::vector<bool> owned(wls.size());
-    for (size_t i = 0; i < wls.size(); ++i)
-        owned[i] = g_bench.plan.planGroup(wls[i]);
-    syncShardMonitor();
-    std::vector<std::string> to_run;
-    std::vector<size_t> to_run_idx;
-    for (size_t i = 0; i < wls.size(); ++i) {
-        if (owned[i]) {
-            to_run.push_back(wls[i]);
-            to_run_idx.push_back(i);
-        }
-    }
-
-    core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
-    struct WlResult
-    {
-        SpeedupRow row;
-        std::vector<obs::CellArtifact> artifacts;
-    };
-    auto out = runner.map(
-        to_run,
-        [&opts, smt](const std::string &wl) {
-            WlResult r;
-            try {
-                r.row = computeSpeedups(opts, wl, smt, &r.artifacts);
-            } catch (const std::exception &e) {
-                // One benchmark's pipeline failing must not sink the
-                // sweep: report a NaN row; its completed cells stay in
-                // r.artifacts so a --resume rerun can skip them.
-                std::fprintf(stderr,
-                             "speedup pipeline for %s failed: %s\n",
-                             wl.c_str(), e.what());
-                double nan = std::nan("");
-                r.row = SpeedupRow{nan, nan, nan, nan, nan};
-            }
-            return r;
-        },
-        [](const std::string &wl, size_t) { return wl; });
-    // Index-aligned with the input list: benchmarks other shards own
-    // report NaN rows (their numbers live in those shards' manifests).
-    double nan = std::nan("");
-    std::vector<SpeedupRow> rows(wls.size(),
-                                 SpeedupRow{nan, nan, nan, nan, nan});
-    for (size_t j = 0; j < out.size(); ++j) {
-        for (obs::CellArtifact &a : out[j].artifacts)
-            recordArtifact(std::move(a));
-        rows[to_run_idx[j]] = out[j].row;
-    }
-    return rows;
-}
-
-SpeedupRow
-computeSpeedups(const FigOptions &opts, const std::string &wl, bool smt,
-                std::vector<obs::CellArtifact> *artifacts)
-{
-    auto base_opts = [&](core::Design d) {
-        return smt ? makeSmtRun(opts, wl, d) : makeRun(opts, wl, d);
-    };
-
-    // One pipeline step: restore from the prior manifest when --resume
-    // has the cell, else run; trace a (nested) span, keep the artifact.
-    auto step = [&](const core::RunOptions &run) {
-        if (const obs::Json *pure = resumeLookup(run)) {
-            obs::CellArtifact cell = restoredArtifact(run, *pure);
-            sim::SimStats s = cell.stats;
-            if (artifacts)
-                artifacts->push_back(std::move(cell));
-            return s;
-        }
-        obs::SweepMonitor *monitor = sweepMonitor();
-        if (monitor)
-            monitor->addPlanned(1);
-        obs::SweepMonitor::Scope span(monitor, cellLabel(run));
-        auto t0 = std::chrono::steady_clock::now();
-        sim::SimStats s = core::runExperiment(run);
-        if (artifacts) {
-            obs::CellArtifact cell;
-            cell.options = run;
-            cell.stats = s;
-            cell.wallSeconds = secondsSince(t0);
-            artifacts->push_back(std::move(cell));
-        }
-        return s;
-    };
-
-    // THP baseline: real timing plus the two perfect-TLB reference
-    // points and the THP-disabled calibration point.
-    sim::SimStats thp = step(base_opts(core::Design::Thp));
-    core::RunOptions perfect = base_opts(core::Design::Thp);
-    perfect.timing = sim::TlbTimingMode::PerfectL2;
-    uint64_t c_perfect_l2 = step(perfect).cycles;
-    perfect.timing = sim::TlbTimingMode::PerfectL1;
-    uint64_t c_perfect_l1 = step(perfect).cycles;
-    sim::SimStats off = step(base_opts(core::Design::Base4k));
-
-    double savable = sim::savablePwcFraction(
-        sim::CounterPoint{off.cycles, off.walkCycles},
-        sim::CounterPoint{thp.cycles, thp.walkCycles});
-
-    auto estimate = [&](core::Design d, sim::SpeedupResult *full) {
-        sim::SimStats s = step(base_opts(d));
-        sim::SpeedupInputs in;
-        in.baselineCycles = thp.cycles;
-        in.perfectL2Cycles = c_perfect_l2;
-        in.perfectL1Cycles = c_perfect_l1;
-        in.baselinePwCycles = thp.walkCycles;
-        in.savableFraction = savable;
-        in.l1MissElimination =
-            elimPercent(thp.l1TlbMisses, s.l1TlbMisses) / 100.0;
-        in.walkRefElimination =
-            elimPercent(thp.walkMemRefs, s.walkMemRefs) / 100.0;
-        sim::SpeedupResult res = sim::estimateSpeedup(in);
-        if (full)
-            *full = res;
-        return res.speedup;
-    };
-
-    SpeedupRow row;
-    sim::SpeedupResult tps_full;
-    row.tps = estimate(core::Design::Tps, &tps_full);
-    row.rmm = estimate(core::Design::Rmm, nullptr);
-    row.colt = estimate(core::Design::Colt, nullptr);
-    row.idealSpeedup = tps_full.idealSpeedup;
-    row.tpsFracOfIdeal = tps_full.fractionOfIdeal();
     return row;
+}
+
+void
+addHoleRow(Table &table, const std::string &label)
+{
+    std::vector<std::string> row(table.columns(), kHole);
+    row[0] = label;
+    table.addRow(std::move(row));
+}
+
+void
+addSummaryRow(const FigOptions &opts, Table &table,
+              const std::string &label, size_t covered, size_t rows,
+              std::vector<std::string> values)
+{
+    if (!printsSummaries(opts))
+        return;
+    if (covered == 0) {
+        for (std::string &v : values)
+            if (!v.empty())
+                v = kHole;
+    }
+    values.insert(values.begin(), summaryLabel(label, covered, rows));
+    table.addRow(std::move(values));
+}
+
+void
+printSpeedupFigure(const FigOptions &opts, bool smt)
+{
+    const auto &list = benchList(opts);
+    std::vector<core::RunOptions> cells;
+    for (const auto &wl : list) {
+        for (core::RunOptions &run : speedupCells(opts, wl, smt))
+            cells.push_back(std::move(run));
+    }
+    CellResults results = runCells(opts, cells);
+
+    Table table({"benchmark", "tps", "rmm", "colt", "ideal",
+                 "tps %-of-ideal"});
+    Summary tps_sum, rmm_sum, colt_sum, frac_sum;
+    for (size_t i = 0; i < list.size(); ++i) {
+        auto row_cells = rowCells(results, kSpeedupCells * i,
+                                  kSpeedupCells);
+        if (row_cells.empty()) {
+            addHoleRow(table, list[i]);
+            continue;
+        }
+        SpeedupRow row = speedupRow(row_cells);
+        tps_sum.add(row.tps);
+        rmm_sum.add(row.rmm);
+        colt_sum.add(row.colt);
+        frac_sum.add(100.0 * row.tpsFracOfIdeal);
+        table.addRow({list[i], fmtDouble(row.tps, 3),
+                      fmtDouble(row.rmm, 3), fmtDouble(row.colt, 3),
+                      fmtDouble(row.idealSpeedup, 3),
+                      fmtPercent(100.0 * row.tpsFracOfIdeal)});
+    }
+    size_t covered = tps_sum.count();
+    addSummaryRow(opts, table, "mean", covered, list.size(),
+                  {fmtDouble(tps_sum.mean(), 3),
+                   fmtDouble(rmm_sum.mean(), 3),
+                   fmtDouble(colt_sum.mean(), 3), "",
+                   fmtPercent(frac_sum.mean())});
+    printTable(opts, table);
+
+    if (!printsSummaries(opts))
+        return;
+    std::string label =
+        summaryLabel("mean improvement", covered, list.size());
+    if (covered == 0) {
+        std::printf("%s: %s\n", label.c_str(), kHole);
+        return;
+    }
+    std::printf("%s: tps %+.1f%%  rmm %+.1f%%  colt %+.1f%%\n",
+                label.c_str(), 100.0 * (tps_sum.mean() - 1.0),
+                100.0 * (rmm_sum.mean() - 1.0),
+                100.0 * (colt_sum.mean() - 1.0));
 }
 
 } // namespace tps::bench

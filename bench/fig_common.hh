@@ -9,14 +9,12 @@
 #ifndef TPS_BENCH_FIG_COMMON_HH
 #define TPS_BENCH_FIG_COMMON_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
-#include "obs/run_manifest.hh"
 #include "obs/shard.hh"
-#include "obs/sweep_monitor.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -74,32 +72,14 @@ FigOptions parseArgs(int argc, char **argv);
 void initBench(const std::string &name, const FigOptions &opts);
 
 /**
- * The bench-wide sweep monitor; nullptr without
- * --trace/--progress/--heartbeat.
- */
-obs::SweepMonitor *sweepMonitor();
-
-/**
- * The bench-wide shard plan: every unit the bench would run, in
- * planning order, plus this process's owned slice.  runCells and
- * friends register their work here before filtering, so every shard of
- * one command line plans the identical grid.
- */
-obs::ShardPlan &shardPlan();
-
-/** Record one completed run for the --stats-json manifest. */
-void recordRun(const core::RunOptions &run, const sim::SimStats &stats,
-               double wallSeconds);
-
-/** Record a full cell artifact (failed, restored, or fresh). */
-void recordArtifact(obs::CellArtifact cell);
-
-/**
  * Write the artifacts the command line asked for (--stats-json
  * manifest, --trace Chrome trace, --event-trace event-trace container,
- * --profile stderr report).  Call once at the end of main.
+ * --profile stderr report).  Call once at the end of main and return
+ * its result, the bench's exit status: 1 when any cell of an unsharded
+ * run ended failed or timed out, else 0.  A shard exits 0 either way;
+ * tps-merge --require-complete reports its failed cells as holes.
  */
-void finishBench(const FigOptions &opts);
+int finishBench(const FigOptions &opts);
 
 /** The benchmark list a bench should iterate. */
 const std::vector<std::string> &benchList(const FigOptions &opts);
@@ -108,7 +88,10 @@ const std::vector<std::string> &benchList(const FigOptions &opts);
 void printHeader(const std::string &fig_id, const std::string &title,
                  const std::string &paper_note);
 
-/** Print @p table per the options (aligned text or CSV). */
+/**
+ * Print @p table per the options (aligned text or CSV).  A sharded
+ * run first marks it "partial (shard i/N)".
+ */
 void printTable(const FigOptions &opts, const Table &table);
 
 /** Build RunOptions for one (workload, design) cell. */
@@ -122,75 +105,72 @@ core::RunOptions makeSmtRun(const FigOptions &opts,
 /** Elimination percent clamped at zero (the paper reports >= 0). */
 double elimPercent(uint64_t baseline, uint64_t with);
 
-/** A run that also captures end-of-run address-space state. */
-struct CensusRun
+/** One cell's data: its statistics, plus its census when asked. */
+struct CellResult
 {
     sim::SimStats stats;
-    Histogram pageSizes;       //!< log2(size) -> mapped page count
-    uint64_t mappedBytes = 0;  //!< committed bytes incl. bloat
-    uint64_t touchedPages = 0; //!< demand-touched base pages
-    uint64_t chunks2m = 0;     //!< distinct 2 MB chunks with a mapping
+    core::Census census;  //!< filled only by runCells(..., census=true)
 };
 
-/** Like core::runExperiment but keeps the page-table census. */
-CensusRun runWithCensus(const core::RunOptions &opts);
+/** runCells' output: one entry per cell, empty for a hole. */
+using CellResults = std::vector<std::optional<CellResult>>;
 
 /**
- * Run every cell on an opts.jobs-wide ExperimentRunner; the result is
- * index-aligned with @p cells.  Output is bit-identical for any job
- * count (each cell's seeds derive from its own identity).
+ * Run every cell on an opts.jobs-wide ExperimentRunner.  This is the
+ * only way a bench runs cells.  The result is index-aligned with
+ * @p cells and bit-identical for any job count (each cell's seeds
+ * derive from its own identity).
  *
- * Cells are fault-isolated: a cell that throws is recorded as a
- * failed/timed-out manifest entry (with opts.retries re-attempts) and
- * returns zeroed stats; the sweep continues.  With --resume, cells
- * already completed in the prior --stats-json manifest are restored
- * instead of re-run.  With --shard=i/N, cells other shards own are
- * skipped entirely (zeroed stats, no manifest entry, no resume
- * lookup); the union of all shards' manifests is exactly the full
- * grid.
- */
-std::vector<sim::SimStats> runCells(const FigOptions &opts,
-                                    const std::vector<core::RunOptions> &cells);
-
-/** Parallel runWithCensus over @p cells, index-aligned. */
-std::vector<CensusRun>
-runCellsWithCensus(const FigOptions &opts,
-                   const std::vector<core::RunOptions> &cells);
-
-/** One benchmark's Fig. 13/14 speedup estimates. */
-struct SpeedupRow
-{
-    double tps = 1.0;
-    double rmm = 1.0;
-    double colt = 1.0;
-    double idealSpeedup = 1.0;    //!< eliminate all translation time
-    double tpsFracOfIdeal = 1.0;  //!< share of ideal savings TPS gets
-};
-
-/**
- * Run the paper's Sec. IV-B estimation pipeline for one benchmark:
- * measure the THP baseline (real, perfect-L2, perfect-L1 timing and
- * the THP-off calibration point), measure each design's miss/walk
- * eliminations, and apply the analytic model.
+ * A cell that did not produce data here is a *hole*: an empty entry,
+ * never zeroed stats.
+ *  - A failed or timed-out cell (after opts.retries extra attempts) is
+ *    recorded as a failed/timeout manifest entry, warned about in one
+ *    stderr line, and makes an unsharded run's finishBench() return a
+ *    non-zero status.
+ *  - With --shard=i/N, cells other shards own are skipped entirely (no
+ *    manifest entry, no resume lookup); the union of all shards'
+ *    manifests is exactly the full grid.
  *
- * @param smt        Run every configuration with a competing SMT
- *                   thread (Figure 14) instead of alone (Figure 13).
- * @param artifacts  When non-null, every underlying experiment run is
- *                   appended here (in a fixed order) for the manifest.
+ * With --resume, cells completed in the prior --stats-json manifest
+ * are restored instead of re-run.
+ *
+ * With @p census each cell also captures its end-of-run core::Census.
+ * A manifest stores no census, so census cells always run, even
+ * under --resume.
+ *
+ * Tables render holes with the helpers below: a row that needs a hole
+ * prints "—" and stays out of the summary rows.
  */
-SpeedupRow computeSpeedups(const FigOptions &opts, const std::string &wl,
-                           bool smt,
-                           std::vector<obs::CellArtifact> *artifacts =
-                               nullptr);
+CellResults runCells(const FigOptions &opts,
+                     const std::vector<core::RunOptions> &cells,
+                     bool census = false);
 
 /**
- * computeSpeedups for every benchmark in parallel, index-aligned.
- * With --shard=i/N each benchmark's whole pipeline is one atomic unit
- * of distribution; benchmarks other shards own report NaN rows.
+ * The results of cells [first, first + n), or an empty vector when any
+ * of them is a hole (a row that needs a hole is itself a hole).
  */
-std::vector<SpeedupRow>
-computeAllSpeedups(const FigOptions &opts,
-                   const std::vector<std::string> &wls, bool smt);
+std::vector<const CellResult *> rowCells(const CellResults &results,
+                                         size_t first, size_t n);
+
+/** Append a row of @p label followed by "—" in every column. */
+void addHoleRow(Table &table, const std::string &label);
+
+/**
+ * Append a summary row (e.g. the mean) over the @p covered of @p rows
+ * table rows that had data.  @p values are the columns after the
+ * label.  When rows are missing the label says so ("mean (2 of 3
+ * rows)"), and with none covered every non-empty value prints "—".  A
+ * sharded run appends nothing: its rows are only the slice it owns.
+ */
+void addSummaryRow(const FigOptions &opts, Table &table,
+                   const std::string &label, size_t covered, size_t rows,
+                   std::vector<std::string> values);
+
+/**
+ * Run and print Figure 13 (@p smt false) or Figure 14 (true): the
+ * paper's Sec. IV-B speedup estimates, seven cells per benchmark.
+ */
+void printSpeedupFigure(const FigOptions &opts, bool smt);
 
 } // namespace tps::bench
 

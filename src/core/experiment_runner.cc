@@ -30,7 +30,9 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                 out.trace = std::make_unique<obs::EventTrace>();
             if (policy.profile)
                 out.profile = std::make_unique<obs::ProfileRegistry>();
-            RunHooks hooks{out.trace.get(), out.profile.get()};
+            Census census;
+            RunHooks hooks{out.trace.get(), out.profile.get(), nullptr,
+                           policy.census ? &census : nullptr};
             auto start = std::chrono::steady_clock::now();
             for (unsigned attempt = 0; attempt <= policy.retries;
                  ++attempt) {
@@ -41,6 +43,8 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                     out.trace->clear();
                 try {
                     out.stats = runExperiment(opts, hooks);
+                    if (policy.census)
+                        out.census = std::move(census);
                     out.status = CellStatus::Ok;
                     out.error.clear();
                     out.errorKind.clear();

@@ -16,6 +16,7 @@
 
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,9 @@ struct SweepPolicy
 
     /** Allocate a per-cell ProfileRegistry (CellOutcome::profile). */
     bool profile = false;
+
+    /** Capture each cell's end-of-run Census (CellOutcome::census). */
+    bool census = false;
 };
 
 /** Outcome of one cell of a guarded sweep. */
@@ -64,6 +68,8 @@ struct CellOutcome
     std::unique_ptr<obs::EventTrace> trace;
     //! the cell's self-profile (SweepPolicy::profile), else null
     std::unique_ptr<obs::ProfileRegistry> profile;
+    //! the cell's census (SweepPolicy::census) when status == Ok
+    std::optional<Census> census;
 };
 
 class ExperimentRunner

@@ -1,6 +1,7 @@
 #include "core/tps_system.hh"
 
 #include <algorithm>
+#include <set>
 
 #include "check/invariant_checker.hh"
 #include "obs/mem_telemetry.hh"
@@ -122,6 +123,7 @@ makeEngineConfig(const RunOptions &opts)
     if (opts.noMmuCache)
         ecfg.mmu.mmuCache = vm::MmuCacheConfig{0, 0, 0};
     ecfg.mmu.tlb.tpsTlbSkewed = opts.tpsTlbSkewed;
+    ecfg.mmu.tlb.tpsTlbEntries = opts.tpsTlbEntries;
     ecfg.addressSpace.aliasMode = opts.aliasMode;
     ecfg.addressSpace.encoding = opts.encoding;
     ecfg.addressSpace.denseState = opts.denseState;
@@ -157,6 +159,30 @@ effectivePhysBytes(const RunOptions &opts)
     uint64_t need = fp + fp / 8 + (1ull << 30);
     return std::max(opts.physBytes, need);
 }
+
+namespace {
+
+Census
+takeCensus(const os::AddressSpace &as)
+{
+    Census census;
+    census.pageSizes = as.pageSizeCensus();
+    census.mappedBytes = as.mappedBytes();
+    census.touchedPages = as.touchedBasePages();
+    std::set<uint64_t> chunks;
+    as.pageTable().forEachLeaf(
+        [&](vm::Vaddr base, const vm::LeafInfo &leaf) {
+            uint64_t first = base >> vm::kPageBits2M;
+            uint64_t last =
+                (base + (1ull << leaf.pageBits) - 1) >> vm::kPageBits2M;
+            for (uint64_t c = first; c <= last; ++c)
+                chunks.insert(c);
+        });
+    census.chunks2m = chunks.size();
+    return census;
+}
+
+} // namespace
 
 sim::SimStats
 runExperiment(const RunOptions &opts)
@@ -228,6 +254,8 @@ runExperiment(const RunOptions &opts, const RunHooks &hooks)
         targets.exemptFrames = exempt;
         check::InvariantChecker(targets).throwIfBad();
     }
+    if (hooks.census)
+        *hooks.census = takeCensus(engine.addressSpace());
     return stats;
 }
 

@@ -17,6 +17,7 @@
 #include "os/phys_memory.hh"
 #include "os/policy_common.hh"
 #include "sim/engine.hh"
+#include "util/stats.hh"
 #include "workloads/registry.hh"
 
 namespace tps::obs {
@@ -61,6 +62,9 @@ struct RunOptions
     bool fiveLevel = false;
     bool noMmuCache = false;       //!< disable paging-structure caches
     bool tpsTlbSkewed = false;     //!< skewed-associative TPS TLB
+    //! Any-size TPS L1 TLB entries.  Part of cell identity only when
+    //! it differs from the Table I default, like footprintBytes.
+    unsigned tpsTlbEntries = tlb::TlbHierarchyConfig{}.tpsTlbEntries;
     bool fragmented = false;       //!< pre-age physical memory
     os::FragmenterConfig fragmenter;
     sim::TlbTimingMode timing = sim::TlbTimingMode::Real;
@@ -120,6 +124,15 @@ uint64_t runSeed(const RunOptions &opts);
  */
 std::string cellLabel(const RunOptions &opts);
 
+/** End-of-run address-space state of one cell (RunHooks::census). */
+struct Census
+{
+    Histogram pageSizes;       //!< log2(size) -> mapped page count
+    uint64_t mappedBytes = 0;  //!< committed bytes incl. bloat
+    uint64_t touchedPages = 0; //!< demand-touched base pages
+    uint64_t chunks2m = 0;     //!< distinct 2 MB chunks with a mapping
+};
+
 /**
  * Optional per-run observability attachments for runExperiment():
  * an event trace (obs/event_trace.hh), a simulator self-profile
@@ -127,13 +140,15 @@ std::string cellLabel(const RunOptions &opts);
  * (obs/mem_telemetry.hh), each recorded by the cell's engine when
  * non-null.  When RunOptions::memTelemetry is set and no external
  * probe is supplied, runExperiment() attaches a local one -- either
- * way the recorded data lands in SimStats::mem.
+ * way the recorded data lands in SimStats::mem.  A non-null census
+ * is filled from the final address space when the run succeeds.
  */
 struct RunHooks
 {
     obs::EventTrace *trace = nullptr;
     obs::ProfileRegistry *profile = nullptr;
     obs::MemTelemetry *memTelemetry = nullptr;
+    Census *census = nullptr;
 };
 
 /**

@@ -102,6 +102,8 @@ runOptionsJson(const core::RunOptions &opts)
     // byte-identical to pre-option ones.
     if (opts.footprintBytes != 0)
         j["footprintBytes"] = opts.footprintBytes;
+    if (opts.tpsTlbEntries != core::RunOptions{}.tpsTlbEntries)
+        j["tpsTlbEntries"] = opts.tpsTlbEntries;
     // referencePath and chunkAccesses are deliberately absent: they
     // select the chunk size and translate kernel of the one engine
     // loop, never what it computes (the differential suite proves

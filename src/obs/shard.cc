@@ -141,8 +141,12 @@ parseShardSpec(const std::string &text, ShardSpec *out)
 }
 
 bool
-ShardPlan::planUnit(PlannedUnit unit)
+ShardPlan::planCell(const core::RunOptions &opts)
 {
+    PlannedUnit unit;
+    unit.label = core::cellLabel(opts);
+    unit.seed = core::runSeed(opts);
+    unit.id = identityHash(cellIdentity(opts));
     unit.shard = static_cast<unsigned>(unit.id % spec_.count);
     bool owned = unit.shard == spec_.index;
     if (owned)
@@ -151,37 +155,18 @@ ShardPlan::planUnit(PlannedUnit unit)
     return owned;
 }
 
-bool
-ShardPlan::planCell(const core::RunOptions &opts)
-{
-    PlannedUnit unit;
-    unit.label = core::cellLabel(opts);
-    unit.seed = core::runSeed(opts);
-    unit.id = identityHash(cellIdentity(opts));
-    return planUnit(std::move(unit));
-}
-
-bool
-ShardPlan::planGroup(const std::string &name)
-{
-    PlannedUnit unit;
-    unit.label = name;
-    unit.seed = 0;
-    unit.id = identityHash("group#" + name);
-    unit.group = true;
-    return planUnit(std::move(unit));
-}
-
 std::string
 ShardPlan::gridFingerprint() const
 {
     // Hash over the ordered unit ids: equal exactly when two plans
-    // registered the same units in the same order.
+    // registered the same cells in the same order.  The 'c' after each
+    // id keeps fingerprints equal to those of older plans, which
+    // tagged cell and pipeline units apart.
     std::string bytes;
     bytes.reserve(grid_.size() * 17);
     for (const PlannedUnit &unit : grid_) {
         bytes += hex64(unit.id);
-        bytes += unit.group ? 'g' : 'c';
+        bytes += 'c';
     }
     return hex64(tps::stableHash64(bytes));
 }
@@ -201,8 +186,6 @@ ShardPlan::provenanceJson() const
         u["seed"] = unit.seed;
         u["id"] = unit.id;
         u["shard"] = unit.shard;
-        if (unit.group)
-            u["group"] = true;
         grid.push(std::move(u));
     }
     j["grid"] = std::move(grid);
@@ -394,40 +377,24 @@ mergeManifests(const std::vector<Json> &manifests,
         }
     }
 
-    // Index the reference grid: unit id -> owner for cells, workload
-    // name -> (owner, group ordinal) for pipeline groups.
-    struct GridUnit
-    {
-        std::string label;
-        uint64_t seed = 0;
-        uint64_t id = 0;
-        unsigned shard = 0;
-        bool group = false;
-    };
-    std::vector<GridUnit> grid;
-    std::map<uint64_t, size_t> cellUnits;    // id -> grid index
-    std::map<std::string, size_t> groupUnits; // workload -> grid index
+    // Index the reference grid: unit id -> owning shard.
+    std::vector<PlannedUnit> grid;
+    std::map<uint64_t, unsigned> owners;
     if (refGrid) {
         for (size_t i = 0; i < refGrid->size(); ++i) {
             const Json &u = refGrid->at(i);
-            GridUnit unit;
+            PlannedUnit unit;
             unit.label = u.at("label").asString();
             unit.seed = u.at("seed").asUInt();
             unit.id = u.at("id").asUInt();
             unit.shard = static_cast<unsigned>(u.at("shard").asUInt());
-            unit.group = u.find("group") != nullptr;
-            if (unit.group)
-                groupUnits.emplace(unit.label, grid.size());
-            else
-                cellUnits.emplace(unit.id, grid.size());
+            owners.emplace(unit.id, unit.shard);
             grid.push_back(std::move(unit));
         }
     }
 
     // Gather every cell occurrence, verifying shard ownership as we go.
     std::map<uint64_t, std::vector<CellCopy>> pool;
-    // group grid index -> source -> cell ids in manifest order
-    std::map<size_t, std::map<size_t, std::vector<uint64_t>>> groupCells;
     std::vector<uint64_t> appearance;  // first-appearance order (unsharded)
     for (size_t i = 0; i < manifests.size(); ++i) {
         const Json *cells = manifests[i].find("cells");
@@ -456,27 +423,19 @@ mergeManifests(const std::vector<Json> &manifests,
             copy.source = i;
 
             if (sharded) {
-                // Every recorded cell must be a planned unit (or part
-                // of a planned group) owned by the shard that wrote it.
-                unsigned owner = 0;
-                auto cu = cellUnits.find(id);
-                if (cu != cellUnits.end()) {
-                    owner = grid[cu->second].shard;
-                } else {
-                    auto gu = groupUnits.find(
-                        options->at("workload").asString());
-                    if (gu == groupUnits.end()) {
-                        throwSimError(
-                            ErrorKind::InvalidArgument,
-                            "cell %s (seed %llu) in %s is not part of "
-                            "the sharded grid -- foreign cell",
-                            copy.label.c_str(),
-                            static_cast<unsigned long long>(copy.seed),
-                            sources[i].c_str());
-                    }
-                    owner = grid[gu->second].shard;
-                    groupCells[gu->second][i].push_back(id);
+                // Every recorded cell must be a planned unit owned by
+                // the shard that wrote it.
+                auto owner_it = owners.find(id);
+                if (owner_it == owners.end()) {
+                    throwSimError(
+                        ErrorKind::InvalidArgument,
+                        "cell %s (seed %llu) in %s is not part of the "
+                        "sharded grid -- foreign cell",
+                        copy.label.c_str(),
+                        static_cast<unsigned long long>(copy.seed),
+                        sources[i].c_str());
                 }
+                unsigned owner = owner_it->second;
                 if (owner != provs[i].index) {
                     throwSimError(
                         ErrorKind::InvalidArgument,
@@ -517,36 +476,14 @@ mergeManifests(const std::vector<Json> &manifests,
     };
 
     if (sharded) {
-        for (const GridUnit &unit : grid) {
-            if (!unit.group) {
-                auto it = pool.find(unit.id);
-                if (it == pool.end()) {
-                    res.holes.push_back({unit.label, unit.seed,
-                                         "missing",
-                                         int(unit.shard), ""});
-                    continue;
-                }
-                emitCopy(it->second, int(unit.shard));
-                continue;
-            }
-            // Group unit: the owning pipeline's cells, in the order
-            // the first contributing manifest recorded them; cells
-            // only other inputs carry (partial retries) follow.
-            size_t gidx = groupUnits.at(unit.label);
-            auto gc = groupCells.find(gidx);
-            if (gc == groupCells.end()) {
-                res.holes.push_back({unit.label, 0, "missing",
+        for (const PlannedUnit &unit : grid) {
+            auto it = pool.find(unit.id);
+            if (it == pool.end()) {
+                res.holes.push_back({unit.label, unit.seed, "missing",
                                      int(unit.shard), ""});
                 continue;
             }
-            std::set<uint64_t> emitted;
-            for (const auto &[source, ids] : gc->second) {
-                for (uint64_t id : ids) {
-                    if (!emitted.insert(id).second)
-                        continue;
-                    emitCopy(pool.at(id), int(unit.shard));
-                }
-            }
+            emitCopy(it->second, int(unit.shard));
         }
     } else if (manifests.size() == 1) {
         // Canonicalization of one manifest: purify every cell in

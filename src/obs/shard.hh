@@ -92,25 +92,18 @@ constexpr unsigned kMaxShards = 4096;
  */
 bool parseShardSpec(const std::string &text, ShardSpec *out);
 
-/** One planned unit of distributable work. */
+/** One planned cell of distributable work. */
 struct PlannedUnit
 {
-    std::string label;  //!< cellLabel(), or the group (workload) name
-    uint64_t seed = 0;  //!< runSeed(); 0 for groups
-    uint64_t id = 0;    //!< identityHash of the unit's identity string
+    std::string label;  //!< cellLabel()
+    uint64_t seed = 0;  //!< runSeed()
+    uint64_t id = 0;    //!< identityHash of the cell's identity string
     unsigned shard = 0; //!< owning shard: id % count
-    /**
-     * A group unit is a multi-cell pipeline distributed atomically
-     * (e.g. one workload's speedup-estimation pipeline): the cells it
-     * records are labeled "<label>/...", and hole accounting treats
-     * the whole group as one unit.
-     */
-    bool group = false;
 };
 
 /**
  * The full grid a sharded bench plans, in planning order, plus this
- * process's slice of it.  Benches register every unit they *would* run
+ * process's slice of it.  Benches register every cell they *would* run
  * (before filtering), so every shard of the same command line builds
  * the identical plan, the grid fingerprint matches across shards, and
  * merge can name exactly which cells a missing shard owes.
@@ -127,12 +120,6 @@ class ShardPlan
 
     /** Register one cell; returns true when this shard owns it. */
     bool planCell(const core::RunOptions &opts);
-
-    /**
-     * Register one group unit (identity "group#<name>"); returns true
-     * when this shard owns the whole pipeline.
-     */
-    bool planGroup(const std::string &name);
 
     const std::vector<PlannedUnit> &grid() const { return grid_; }
     size_t plannedUnits() const { return grid_.size(); }
@@ -153,8 +140,6 @@ class ShardPlan
     Json provenanceJson() const;
 
   private:
-    bool planUnit(PlannedUnit unit);
-
     ShardSpec spec_;
     std::vector<PlannedUnit> grid_;
     size_t owned_ = 0;
@@ -164,7 +149,7 @@ class ShardPlan
 // Merging partial manifests.
 // ---------------------------------------------------------------------
 
-/** One cell (or group) the merged sweep is still missing. */
+/** One cell the merged sweep is still missing. */
 struct MergeHole
 {
     std::string label;

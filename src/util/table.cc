@@ -1,8 +1,8 @@
 #include "util/table.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 
 #include "util/logging.hh"
 
@@ -21,26 +21,39 @@ Table::addRow(std::vector<std::string> cells)
     rows_.push_back(std::move(cells));
 }
 
+namespace {
+
+/** Display columns of UTF-8 @p text: one per code point. */
+size_t
+displayWidth(const std::string &text)
+{
+    size_t width = 0;
+    for (unsigned char c : text)
+        width += (c & 0xc0) != 0x80;
+    return width;
+}
+
+} // namespace
+
 void
 Table::print(std::ostream &os) const
 {
     std::vector<size_t> widths(headers_.size());
     for (size_t c = 0; c < headers_.size(); ++c)
-        widths[c] = headers_[c].size();
+        widths[c] = displayWidth(headers_[c]);
     for (const auto &row : rows_)
         for (size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], displayWidth(row[c]));
 
     auto emit_row = [&](const std::vector<std::string> &row) {
         for (size_t c = 0; c < row.size(); ++c) {
             os << (c == 0 ? "" : "  ");
             // Left-align the first column (names), right-align numbers.
+            std::string pad(widths[c] - displayWidth(row[c]), ' ');
             if (c == 0)
-                os << std::left << std::setw(static_cast<int>(widths[c]))
-                   << row[c];
+                os << row[c] << pad;
             else
-                os << std::right << std::setw(static_cast<int>(widths[c]))
-                   << row[c];
+                os << pad << row[c];
         }
         os << "\n";
     };

@@ -10,7 +10,10 @@
  * truncation.  The fig10 end-to-end test drives the tentpole through
  * the real binaries: shard a sweep with --shard=i/N, merge the
  * partials with tps-merge, and require the result to be byte-identical
- * to the unsharded run's canonical manifest.
+ * to the unsharded run's canonical manifest.  The hole tests pin how a
+ * bench renders cells that did not run: a timed-out or unowned cell
+ * prints as a hole, never as a number, and a failed cell makes the
+ * bench exit non-zero.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
@@ -178,6 +182,75 @@ TEST(CliContract, BenchRejectsBadShardValues)
          {"2/2", "0/0", "x", "1", "1/2/3", "-1/2", "0/9999"}) {
         expectFails(std::string(FIG10_BIN) + " --shard=" + bad,
                     "bad --shard value");
+    }
+}
+
+/** The table rows of a bench's stdout: the lines after a "---" rule. */
+std::vector<std::string>
+tableRows(const std::string &out)
+{
+    std::vector<std::string> rows;
+    std::istringstream is(out);
+    bool inTable = false;
+    for (std::string line; std::getline(is, line);) {
+        if (line.empty())
+            inTable = false;
+        else if (inTable)
+            rows.push_back(line);
+        else if (line.rfind("---", 0) == 0)
+            inTable = true;
+    }
+    return rows;
+}
+
+TEST(CliContract, TimedOutCellPrintsHoleAndFails)
+{
+    Cmd result = run(std::string(FIG10_BIN) +
+                     " --benchmarks=gups --scale=0.01 --phys-gb=1"
+                     " --cell-timeout=0.000001");
+    EXPECT_NE(result.exitCode, 0) << result.out;
+    std::vector<std::string> rows = tableRows(result.out);
+    ASSERT_FALSE(rows.empty()) << result.out;
+    EXPECT_EQ(rows[0].rfind("gups", 0), 0u) << result.out;
+    for (const std::string &row : rows) {
+        EXPECT_NE(row.find("—"), std::string::npos) << row;
+        EXPECT_EQ(row.find('%'), std::string::npos) << row;
+    }
+}
+
+TEST(CliContract, ShardPrintsOnlyOwnedCells)
+{
+    std::string manifest = tempPath("fig10_hole_s0.json");
+    Cmd result = run(std::string(FIG10_BIN) +
+                     " --benchmarks=gups,mcf --scale=0.01 --phys-gb=1"
+                     " --shard=0/2 --stats-json=" + manifest);
+    ASSERT_EQ(result.exitCode, 0) << result.err;
+    EXPECT_NE(result.out.find("partial (shard 0/2)"), std::string::npos)
+        << result.out;
+
+    // Which workloads have every cell owned by shard 0.
+    Json partial = tps::obs::readJsonFile(manifest);
+    std::remove(manifest.c_str());
+    const Json &grid = partial.at("host").at("shard").at("grid");
+    std::set<std::string> incomplete;
+    for (size_t u = 0; u < grid.size(); ++u) {
+        if (grid.at(u).at("shard").asUInt() != 0) {
+            std::string label = grid.at(u).at("label").asString();
+            incomplete.insert(label.substr(0, label.find('/')));
+        }
+    }
+    ASSERT_FALSE(incomplete.empty());
+
+    std::vector<std::string> rows = tableRows(result.out);
+    ASSERT_EQ(rows.size(), 2u) << result.out;  // no mean row
+    for (const std::string &row : rows) {
+        std::string wl = row.substr(0, row.find(' '));
+        if (!incomplete.count(wl))
+            continue;
+        EXPECT_NE(row.find("—"), std::string::npos) << row;
+        EXPECT_EQ(row.find_first_of("0123456789%"), std::string::npos)
+            << "shard 0 printed a number for a cell it does not own: "
+            << row;
     }
 }
 

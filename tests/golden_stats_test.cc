@@ -25,6 +25,11 @@
  *  4. Graph500's process-wide CSR memo hands every instance the same
  *     graph a serial setup builds, however many threads set up
  *     instances of the same or different graphs at once.
+ *
+ *  5. The end-of-run census runExperiment() fills through
+ *     RunHooks::census (page-size histogram, mapped bytes, touched
+ *     pages, 2 MB chunks), pinned to the values the figures' former
+ *     stand-alone census run produced.
  */
 
 #include <gtest/gtest.h>
@@ -421,6 +426,38 @@ TEST(GoldenStats, Graph500MemoConcurrentSetup)
     for (unsigned i = 0; i < hashes.size(); ++i)
         EXPECT_EQ(hashes[i], pins[i % 2].hash)
             << "instance " << i << ": actual 0x" << std::hex << hashes[i];
+}
+
+TEST(GoldenStats, CensusOfFinalAddressSpace)
+{
+    struct Pin
+    {
+        const char *workload;
+        Design design;
+        uint64_t hash;
+    };
+    for (const Pin &pin :
+         {Pin{"gcc", Design::Tps, 0x2056f281e7324a22ull},
+          Pin{"mcf", Design::Base4k, 0x6f91cfb7b018a252ull}}) {
+        RunOptions opts;
+        opts.workload = pin.workload;
+        opts.design = pin.design;
+        opts.scale = 0.02;
+        Census census;
+        RunHooks hooks;
+        hooks.census = &census;
+        runExperiment(opts, hooks);
+        std::string text;
+        for (const auto &[bits, pages] : census.pageSizes.buckets())
+            text +=
+                std::to_string(bits) + ":" + std::to_string(pages) + ",";
+        text += "mapped=" + std::to_string(census.mappedBytes) +
+                ",touched=" + std::to_string(census.touchedPages) +
+                ",chunks2m=" + std::to_string(census.chunks2m);
+        uint64_t got = stableHash64(text);
+        EXPECT_EQ(got, pin.hash) << cellLabel(opts) << ": actual 0x"
+                                 << std::hex << got << ", census " << text;
+    }
 }
 
 } // namespace

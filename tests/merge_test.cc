@@ -326,109 +326,5 @@ TEST(MergeRejects, EmptyInput)
     expectMergeError({}, {}, "no manifests to merge");
 }
 
-// -------------------------------------------------------------------
-// Group (pipeline) units: whole-workload slices distributed atomically.
-// -------------------------------------------------------------------
-
-Json
-groupCell(const std::string &wl, const std::string &design,
-          uint64_t seed, uint64_t cycles)
-{
-    Json cell = Json::object();
-    cell["label"] = wl + "/" + design;
-    cell["seed"] = seed;
-    Json &options = cell["options"];
-    options["workload"] = wl;
-    options["design"] = design;
-    options["timing"] = std::string("real");
-    cell["status"] = std::string("ok");
-    cell["stats"]["engine"]["cycles"] = cycles;
-    return cell;
-}
-
-Json
-groupPartial(unsigned index, unsigned count,
-             const std::vector<std::string> &workloads,
-             const std::vector<Json> &cells)
-{
-    ShardPlan plan(ShardSpec{index, count});
-    for (const std::string &wl : workloads)
-        plan.planGroup(wl);
-    Json m = Json::object();
-    m["format"] = std::string("tps-run-manifest");
-    m["version"] = uint64_t(2);
-    m["bench"] = std::string("fig13_speedup");
-    Json &host = m["host"];
-    host["shard"] = plan.provenanceJson();
-    Json arr = Json::array();
-    for (const Json &cell : cells)
-        arr.push(cell);
-    m["cells"] = arr;
-    return m;
-}
-
-TEST(MergeGroups, GroupUnitsMergeInPlanningOrder)
-{
-    std::vector<std::string> wls = {"gups", "mcf"};
-    ShardPlan probe(ShardSpec{0, 2});
-    std::vector<unsigned> owner;
-    for (const std::string &wl : wls)
-        owner.push_back(probe.planGroup(wl) ? 0u : 1u);
-
-    // Each shard records only its owned pipelines' cells (two cells
-    // per workload, like a speedup pipeline's estimate + measured run).
-    std::vector<std::vector<Json>> cellsByShard(2);
-    std::vector<Json> expectedOrder;
-    for (size_t w = 0; w < wls.size(); ++w) {
-        for (const char *design : {"thp", "tps"}) {
-            Json cell =
-                groupCell(wls[w], design, 1000 + w * 10, 77 + w);
-            cellsByShard[owner[w]].push_back(cell);
-        }
-    }
-    for (size_t w = 0; w < wls.size(); ++w)
-        for (const Json &cell : cellsByShard[owner[w]])
-            if (cell.at("options").at("workload").asString() == wls[w])
-                expectedOrder.push_back(cell);
-
-    std::vector<Json> partials = {
-        groupPartial(0, 2, wls, cellsByShard[0]),
-        groupPartial(1, 2, wls, cellsByShard[1]),
-    };
-    MergeResult res = mergeManifests(partials, names(2));
-    EXPECT_TRUE(res.holes.empty());
-    ASSERT_EQ(res.cells, 4u);
-    const Json &cells = res.manifest.at("cells");
-    for (size_t i = 0; i < expectedOrder.size(); ++i) {
-        EXPECT_EQ(cells.at(i).dump(), expectedOrder[i].dump())
-            << "cell " << i << " out of order";
-    }
-}
-
-TEST(MergeGroups, MissingGroupIsOneHole)
-{
-    std::vector<std::string> wls = {"gups", "mcf"};
-    ShardPlan probe(ShardSpec{0, 2});
-    std::vector<unsigned> owner;
-    for (const std::string &wl : wls)
-        owner.push_back(probe.planGroup(wl) ? 0u : 1u);
-
-    // Only the shard owning wls[0] reports; the other workload's whole
-    // pipeline is one missing unit, not one hole per cell.
-    unsigned present = owner[0];
-    std::vector<Json> cells = {
-        groupCell(wls[0], "thp", 1000, 77),
-        groupCell(wls[0], "tps", 1000, 78),
-    };
-    Json partial = groupPartial(present, 2, wls, cells);
-    MergeResult res = mergeManifests({partial}, {"present.json"});
-    ASSERT_EQ(res.holes.size(), 1u);
-    EXPECT_EQ(res.holes[0].label, wls[1]);
-    EXPECT_EQ(res.holes[0].status, "missing");
-    EXPECT_EQ(res.holes[0].shard, int(owner[1]));
-    EXPECT_EQ(res.shardsMissing,
-              std::vector<unsigned>{1u - present});
-}
-
 } // namespace
 } // namespace tps::obs

@@ -167,20 +167,12 @@ TEST(ShardPlan, FingerprintMatchesAcrossShardsAndDiffersAcrossGrids)
         other.planCell(opts);
     other.planCell(cell("dbx1000", core::Design::Thp));
     EXPECT_NE(other.gridFingerprint(), s0.gridFingerprint());
-
-    // Group units are distinct from cell units in the fingerprint.
-    ShardPlan groups(ShardSpec{0, 2});
-    groups.planGroup("gups");
-    ShardPlan cells1(ShardSpec{0, 2});
-    cells1.planCell(cell("gups", core::Design::Thp));
-    EXPECT_NE(groups.gridFingerprint(), cells1.gridFingerprint());
 }
 
 TEST(ShardPlan, ProvenanceJsonShape)
 {
     ShardPlan plan(ShardSpec{1, 2});
     plan.planCell(cell("gups", core::Design::Thp));
-    plan.planGroup("mcf");
     Json prov = plan.provenanceJson();
     EXPECT_EQ(prov.at("index").asUInt(), 1u);
     EXPECT_EQ(prov.at("count").asUInt(), 2u);
@@ -188,12 +180,9 @@ TEST(ShardPlan, ProvenanceJsonShape)
               plan.gridFingerprint());
     EXPECT_FALSE(prov.at("toolVersion").asString().empty());
     const Json &grid = prov.at("grid");
-    ASSERT_EQ(grid.size(), 2u);
+    ASSERT_EQ(grid.size(), 1u);
     EXPECT_EQ(grid.at(0).at("label").asString(), "gups/thp");
     EXPECT_NE(grid.at(0).at("seed").asUInt(), 0u);
-    EXPECT_EQ(grid.at(0).find("group"), nullptr);
-    EXPECT_EQ(grid.at(1).at("label").asString(), "mcf");
-    EXPECT_TRUE(grid.at(1).at("group").asBool());
     for (size_t i = 0; i < grid.size(); ++i)
         EXPECT_LT(grid.at(i).at("shard").asUInt(), 2u);
 }

@@ -403,6 +403,20 @@ TEST(Table, AlignedOutput)
     EXPECT_EQ(t.columns(), 2u);
 }
 
+TEST(Table, MultiByteCellPadsByDisplayWidth)
+{
+    // A hole's "—" is three UTF-8 bytes but one display column.
+    Table t({"wl", "value"});
+    t.addRow({"a", "1.0%"});
+    t.addRow({"b", "—"});
+    std::ostringstream os;
+    t.print(os);
+    EXPECT_EQ(os.str(), "wl  value\n"
+                        "---------\n"
+                        "a    1.0%\n"
+                        "b       —\n");
+}
+
 TEST(Table, CsvOutput)
 {
     Table t({"a", "b"});
