@@ -177,7 +177,7 @@ finishBench(const FigOptions &opts)
         info.jobs = opts.jobs;
         info.wallSeconds = secondsSince(g_bench.start);
         if (opts.shard.active()) {
-            // Host-only provenance for tps-merge: which slice this
+            // Host-only provenance for `tps merge`: which slice this
             // partial manifest covers, and the run's wall-clock span.
             info.shard = g_bench.plan.provenanceJson();
             info.shard["startedUnixMs"] = g_bench.startedUnixMs;
@@ -238,7 +238,7 @@ finishBench(const FigOptions &opts)
     std::fprintf(stderr, "%zu cell(s) failed or timed out; their rows "
                          "print as %s\n", failed, kHole);
     // A shard's failures are holes in its partial manifest, which
-    // tps-merge --require-complete reports for the whole sweep.
+    // `tps merge --require-complete` reports for the whole sweep.
     return opts.shard.active() ? 0 : 1;
 }
 

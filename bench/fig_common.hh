@@ -77,7 +77,7 @@ void initBench(const std::string &name, const FigOptions &opts);
  * --profile stderr report).  Call once at the end of main and return
  * its result, the bench's exit status: 1 when any cell of an unsharded
  * run ended failed or timed out, else 0.  A shard exits 0 either way;
- * tps-merge --require-complete reports its failed cells as holes.
+ * `tps merge --require-complete` reports its failed cells as holes.
  */
 int finishBench(const FigOptions &opts);
 

@@ -92,7 +92,7 @@ class ExperimentRunner
      * Run every cell through runExperiment() on the pool; the result
      * vector is index-aligned with @p cells.  The first cell failure
      * (if any) is rethrown in the caller's thread.  Spans are labeled
-     * "workload/design".
+     * with cellLabel().
      */
     std::vector<sim::SimStats> run(const std::vector<RunOptions> &cells);
 

@@ -4,7 +4,9 @@
 #include <set>
 
 #include "check/invariant_checker.hh"
+#include "obs/json.hh"
 #include "obs/mem_telemetry.hh"
+#include "obs/run_manifest.hh"
 #include "os/policy_rmm.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -103,14 +105,42 @@ runSeed(const RunOptions &opts)
 }
 
 std::string
+cellLabel(const obs::Json &options)
+{
+    // Each variant field and its tag; a non-bool value follows its tag.
+    static constexpr std::pair<const char *, const char *> kVariants[] = {
+        {"smt", "smt"},           {"virtualized", "virt"},
+        {"fiveLevel", "5level"},  {"noMmuCache", "no-pwc"},
+        {"tpsTlbSkewed", "skewed"}, {"tpsTlbEntries", "tlb"},
+        {"fragmented", "frag"},   {"tpsThreshold", "thr"},
+        {"aliasMode", ""},        {"encoding", ""},
+    };
+    static const obs::Json defaults = obs::runOptionsJson(RunOptions{});
+
+    std::string label = options.at("workload").asString() + "/" +
+                        options.at("design").asString();
+    const obs::Json *timing = options.find("timing");
+    if (timing && timing->asString() != "real")
+        label += "/" + timing->asString();
+    for (const auto &[key, tag] : kVariants) {
+        const obs::Json *value = options.find(key);
+        const obs::Json *dflt = defaults.find(key);
+        if (!value || (dflt && value->dump() == dflt->dump()))
+            continue;
+        label += "+";
+        label += tag;
+        if (value->kind() == obs::Json::Kind::String)
+            label += value->asString();
+        else if (value->kind() != obs::Json::Kind::Bool)
+            label += value->dump();
+    }
+    return label;
+}
+
+std::string
 cellLabel(const RunOptions &opts)
 {
-    std::string label = opts.workload + "/" + designName(opts.design);
-    if (opts.timing == sim::TlbTimingMode::PerfectL2)
-        label += "/perfect-l2";
-    else if (opts.timing == sim::TlbTimingMode::PerfectL1)
-        label += "/perfect-l1";
-    return label;
+    return cellLabel(obs::runOptionsJson(opts));
 }
 
 sim::EngineConfig

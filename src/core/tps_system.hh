@@ -22,6 +22,7 @@
 
 namespace tps::obs {
 class EventTrace;
+class Json;
 class MemTelemetry;
 class ProfileRegistry;
 } // namespace tps::obs
@@ -116,12 +117,24 @@ const char *cellStatusName(CellStatus status);
 uint64_t runSeed(const RunOptions &opts);
 
 /**
- * The canonical display label for one cell: "workload/design", with a
- * "/perfect-l1" or "/perfect-l2" suffix when the timing mode is not
- * Real.  Sweep-monitor spans, event-trace cells and run-manifest cells
- * all use this one label, so the three artifact kinds of a sweep join
- * on (label, seed) without heuristics.
+ * The one cell key every artifact names and joins a cell by, computed
+ * from a run-manifest cell's "options" object:
+ * "workload/design[/timing][+variant...]".  The timing part appears
+ * when it is not "real" ("/perfect-l1", "/perfect-l2"); each variant
+ * field a bench varies within one sweep adds a "+tag" when it differs
+ * from the RunOptions default, in this order: +smt, +virt, +5level,
+ * +no-pwc (noMmuCache), +skewed (tpsTlbSkewed), +tlb<N>
+ * (tpsTlbEntries), +frag, +thr<x> (tpsThreshold), +<aliasMode> and
+ * +<encoding>; for example "gups/thp+smt" or "gcc/tps+skewed+tlb64".
+ * Workload and design names contain neither '/' nor '+', so the label
+ * splits back into its parts.  Keys an older manifest lacks count as
+ * defaults.  Sweep-monitor spans, event-trace cells, shard grids,
+ * merge holes and reports all use this label, so within one sweep two
+ * cells share a label exactly when they share an identity.
  */
+std::string cellLabel(const obs::Json &options);
+
+/** cellLabel() of the live options, via obs::runOptionsJson(). */
 std::string cellLabel(const RunOptions &opts);
 
 /** End-of-run address-space state of one cell (RunHooks::census). */

@@ -5,7 +5,7 @@
  * An EventTrace is a low-overhead in-memory stream of typed simulation
  * events -- TLB misses, page walks, and OS paging actions -- recorded
  * by one cell's engine and written to a compact varint-encoded binary
- * file for offline attribution analysis (tools/tps-analyze).
+ * file for offline attribution analysis (`tps analyze`).
  *
  * Hot-path contract: every emission site is guarded by a plain
  * `if (trace_)` pointer test, so a run with tracing disabled (the

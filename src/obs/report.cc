@@ -5,7 +5,9 @@
 #include <map>
 #include <set>
 
+#include "core/tps_system.hh"
 #include "obs/mem_telemetry.hh"
+#include "obs/shard.hh"
 #include "util/sim_error.hh"
 #include "util/stats.hh"
 
@@ -13,24 +15,35 @@ namespace tps::obs {
 
 namespace {
 
-/** One grid cell gathered from the manifests. */
-struct CellRec
+/**
+ * A cell label's table slot: the row is the workload plus its
+ * variants, the column the design[/timing] (see core::cellLabel()).
+ */
+struct Slot
 {
-    std::string status;      //!< "ok", "failed", "timeout"
-    const Json *stats = nullptr;
+    std::string row;
+    std::string column;
 };
 
-using GridKey = std::pair<std::string, std::string>;  // workload, design
-
-/** The design label a cell reports under: design[/timing]. */
-std::string
-designLabelOf(const Json &options)
+Slot
+slotOf(const std::string &label)
 {
-    std::string label = options.at("design").asString();
-    std::string timing = options.at("timing").asString();
-    if (timing != "real")
-        label += "/" + timing;
-    return label;
+    size_t slash = label.find('/');
+    size_t plus = label.find('+', slash);
+    std::string variants =
+        plus == std::string::npos ? "" : label.substr(plus);
+    return {label.substr(0, slash) + variants,
+            label.substr(slash + 1, plus - slash - 1)};
+}
+
+/** The cell label of table slot (@p row, @p column). */
+std::string
+labelOf(const std::string &row, const std::string &column)
+{
+    size_t plus = row.find('+');
+    std::string variants =
+        plus == std::string::npos ? "" : row.substr(plus);
+    return row.substr(0, plus) + "/" + column + variants;
 }
 
 /** Shortest-round-trip double text, identical to Json serialization. */
@@ -109,34 +122,27 @@ buildReport(const std::vector<Json> &manifests,
             const std::vector<std::string> &sources,
             const ReportOptions &opts)
 {
-    // ---- Join: gather cells, first ok occurrence per key wins. ----
-    std::map<GridKey, CellRec> cells;
+    // ---- Join through mergeManifests: identity dedup, first ok
+    // copy wins, holes attributed.  Each ok cell fills its table slot.
+    MergeResult merged = mergeManifests(manifests, sources, true);
+    std::map<std::pair<std::string, std::string>, const Json *> cells;
     std::set<std::string> workloads;
     std::set<std::string> designSet;
-    for (const Json &m : manifests) {
-        const Json *format = m.find("format");
-        if (!format || format->asString() != "tps-run-manifest") {
-            throwSimError(ErrorKind::InvalidArgument,
-                          "input is not a tps-run-manifest file");
-        }
-        const Json &list = m.at("cells");
-        for (size_t i = 0; i < list.size(); ++i) {
-            const Json &cell = list.at(i);
-            const Json &options = cell.at("options");
-            GridKey key{options.at("workload").asString(),
-                        designLabelOf(options)};
-            workloads.insert(key.first);
-            designSet.insert(key.second);
-            CellRec rec;
-            rec.status = cell.at("status").asString();
-            rec.stats = cell.find("stats");
-            auto [it, inserted] = cells.emplace(key, rec);
-            // A later ok cell fills a hole an earlier manifest left.
-            if (!inserted && it->second.status != "ok" &&
-                rec.status == "ok") {
-                it->second = rec;
-            }
-        }
+    const Json &list = merged.manifest.at("cells");
+    for (size_t i = 0; i < list.size(); ++i) {
+        const Json &cell = list.at(i);
+        Slot slot = slotOf(core::cellLabel(cell.at("options")));
+        workloads.insert(slot.row);
+        designSet.insert(slot.column);
+        const Json *stats = cell.find("stats");
+        const Json *status = cell.find("status");
+        if (stats && (!status || status->asString() == "ok"))
+            cells.emplace(std::make_pair(slot.row, slot.column), stats);
+    }
+    for (const MergeHole &hole : merged.holes) {
+        Slot slot = slotOf(hole.label);
+        workloads.insert(slot.row);
+        designSet.insert(slot.column);
     }
 
     // Display order: baseline design first, the rest lexicographic.
@@ -151,11 +157,7 @@ buildReport(const std::vector<Json> &manifests,
     auto okStats = [&](const std::string &wl,
                        const std::string &dn) -> const Json * {
         auto it = cells.find({wl, dn});
-        if (it == cells.end() || it->second.status != "ok" ||
-            !it->second.stats) {
-            return nullptr;
-        }
-        return it->second.stats;
+        return it == cells.end() ? nullptr : it->second;
     };
 
     Report rep;
@@ -374,30 +376,39 @@ buildReport(const std::vector<Json> &manifests,
         }
     }
 
-    // ---- Holes: the grid cross product minus the ok cells. ----
-    std::vector<std::pair<GridKey, std::string>> holes;
+    // ---- Holes: the merge's holes plus every empty table slot. ----
+    std::vector<MergeHole> holes = merged.holes;
+    std::set<std::string> holeLabels;
+    for (const MergeHole &hole : holes)
+        holeLabels.insert(hole.label);
     for (const std::string &wl : workloads) {
         for (const std::string &dn : designs) {
-            auto it = cells.find({wl, dn});
-            if (it == cells.end())
-                holes.push_back({{wl, dn}, "missing"});
-            else if (it->second.status != "ok")
-                holes.push_back({{wl, dn}, it->second.status});
-            else
-                ++rep.cells;
+            std::string label = labelOf(wl, dn);
+            if (!okStats(wl, dn) && !holeLabels.count(label))
+                holes.push_back({label, 0, "missing", -1, ""});
         }
     }
+    rep.cells = merged.okCells;
     rep.holes = holes.size();
     md += "\n## Holes\n\n";
     if (holes.empty()) {
         md += "None: the workload x design grid is complete.\n";
     } else {
-        for (const auto &[key, status] : holes) {
-            csvRow(csv, "hole", key.first, key.second, "status", "",
-                   status);
-            md += "- `" + key.first + "/" + key.second + "`: " +
-                  status + "\n";
+        for (const MergeHole &hole : holes) {
+            Slot slot = slotOf(hole.label);
+            csvRow(csv, "hole", slot.row, slot.column, "status", "",
+                   hole.status);
+            md += "- `" + hole.label + "`: " + hole.status;
+            if (hole.shard >= 0)
+                md += " (shard " + std::to_string(hole.shard) + ")";
+            md += "\n";
         }
+    }
+    if (!merged.conflicts.empty()) {
+        md += "\n## Conflicts\n\nA later ok copy of these cells "
+              "differs from the first, which is kept:\n\n";
+        for (const std::string &label : merged.conflicts)
+            md += "- `" + label + "`\n";
     }
     return rep;
 }

@@ -3,13 +3,16 @@
  * Cross-design comparison reports from run manifests.
  *
  * buildReport() joins one or more (possibly partial) run manifests
- * into a byte-stable report pair -- a long-format CSV for plotting and
- * a Markdown document for humans -- with per-design MPKI/speedup
+ * through mergeManifests() -- the same identity join `tps merge` uses
+ * -- into a byte-stable report pair: a long-format CSV for plotting
+ * and a Markdown document for humans.  It has per-design MPKI/speedup
  * tables, physical-memory fragmentation and census series (when cells
  * carry --mem-telemetry data), p50/p95/p99 columns from the recorded
- * histograms, and an explicit holes section listing every grid cell
- * that is missing, failed or timed out.  The CLI wrapper is
- * tools/tps-report.
+ * histograms, and an explicit holes section.  Table rows are a cell
+ * label's workload plus variants ("gups+smt"), columns its
+ * design[/timing] (core::cellLabel()).  The holes are the merge's
+ * missing, failed or timed-out cells plus every empty table slot.
+ * The CLI wrapper is `tps report`.
  *
  * Determinism: output depends only on the manifest contents and the
  * source names passed in -- rows are sorted (workloads and designs
@@ -44,16 +47,17 @@ struct Report
 {
     std::string csv;       //!< long format: section,workload,design,...
     std::string markdown;
-    size_t cells = 0;      //!< grid cells backed by ok stats
-    size_t holes = 0;      //!< grid cells missing, failed or timed out
+    size_t cells = 0;      //!< ok cells in the merged manifest
+    size_t holes = 0;      //!< merge holes plus empty table slots
 };
 
 /**
  * Join @p manifests (parsed "tps-run-manifest" files; @p sources are
  * their display names, typically file paths) into one report.  Cells
- * are keyed by (workload, design[/timing]); when several manifests
- * carry the same cell, the first ok occurrence wins.
- * @throws SimError{InvalidArgument} on a non-manifest input.
+ * join by identity; when several manifests carry the same cell, the
+ * first ok occurrence wins, and a later ok copy that differs is listed
+ * under "Conflicts".
+ * @throws SimError{InvalidArgument} on inputs mergeManifests() rejects.
  */
 Report buildReport(const std::vector<Json> &manifests,
                    const std::vector<std::string> &sources,

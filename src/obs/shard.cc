@@ -143,10 +143,11 @@ parseShardSpec(const std::string &text, ShardSpec *out)
 bool
 ShardPlan::planCell(const core::RunOptions &opts)
 {
+    Json options = runOptionsJson(opts);
     PlannedUnit unit;
-    unit.label = core::cellLabel(opts);
+    unit.label = core::cellLabel(options);
     unit.seed = core::runSeed(opts);
-    unit.id = identityHash(cellIdentity(opts));
+    unit.id = identityHash(cellIdentityFromJson(options, unit.seed));
     unit.shard = static_cast<unsigned>(unit.id % spec_.count);
     bool owned = unit.shard == spec_.index;
     if (owned)
@@ -198,19 +199,6 @@ ShardPlan::provenanceJson() const
 
 namespace {
 
-/** The display label a manifest cell reports under. */
-std::string
-labelOfCell(const Json &options)
-{
-    std::string label = options.at("workload").asString() + "/" +
-                        options.at("design").asString();
-    if (const Json *timing = options.find("timing");
-        timing && timing->asString() != "real") {
-        label += "/" + timing->asString();
-    }
-    return label;
-}
-
 /** Shard provenance extracted from one input manifest. */
 struct InputProv
 {
@@ -227,6 +215,7 @@ struct CellCopy
     Json pure;
     std::string status;
     uint64_t seed = 0;
+    uint64_t id = 0;
     std::string label;
     size_t source = 0;
 };
@@ -266,37 +255,43 @@ provOf(const Json &manifest, const std::string &source)
  * Pick the copy the merged manifest keeps: the first "ok" occurrence
  * in input order, else the first occurrence.  Two ok copies with
  * different pure bytes mean the same cell produced different results
- * in different runs -- a determinism violation, rejected hard.
+ * in different runs -- a determinism violation, rejected hard unless
+ * @p conflicts collects them (the first ok copy is kept).
  */
 const CellCopy &
-chooseCopy(const std::vector<CellCopy> &copies,
-           const std::vector<std::string> &sources)
+chooseCopy(const std::vector<const CellCopy *> &copies,
+           const std::vector<std::string> &sources,
+           std::vector<std::string> *conflicts)
 {
     const CellCopy *best = nullptr;
-    for (const CellCopy &copy : copies) {
-        if (copy.status != "ok")
+    for (const CellCopy *copy : copies) {
+        if (copy->status != "ok")
             continue;
         if (!best) {
-            best = &copy;
-        } else if (best->pure.dump() != copy.pure.dump()) {
+            best = copy;
+        } else if (best->pure.dump() != copy->pure.dump()) {
+            if (conflicts) {
+                conflicts->push_back(copy->label);
+                continue;
+            }
             throwSimError(
                 ErrorKind::InvalidArgument,
                 "cell %s (seed %llu) differs between %s and %s -- "
                 "nondeterministic run or mismatched configs",
-                copy.label.c_str(),
-                static_cast<unsigned long long>(copy.seed),
+                copy->label.c_str(),
+                static_cast<unsigned long long>(copy->seed),
                 sources[best->source].c_str(),
-                sources[copy.source].c_str());
+                sources[copy->source].c_str());
         }
     }
-    return best ? *best : copies.front();
+    return best ? *best : *copies.front();
 }
 
 } // namespace
 
 MergeResult
 mergeManifests(const std::vector<Json> &manifests,
-               const std::vector<std::string> &sources)
+               const std::vector<std::string> &sources, bool keepFirstOk)
 {
     if (manifests.empty()) {
         throwSimError(ErrorKind::InvalidArgument,
@@ -394,7 +389,9 @@ mergeManifests(const std::vector<Json> &manifests,
     }
 
     // Gather every cell occurrence, verifying shard ownership as we go.
-    std::map<uint64_t, std::vector<CellCopy>> pool;
+    // A cell without a seed (a hand-written manifest) joins as seed 0.
+    std::vector<CellCopy> all;  // every occurrence, in input order
+    std::map<uint64_t, std::vector<const CellCopy *>> pool;
     std::vector<uint64_t> appearance;  // first-appearance order (unsharded)
     for (size_t i = 0; i < manifests.size(); ++i) {
         const Json *cells = manifests[i].find("cells");
@@ -406,26 +403,25 @@ mergeManifests(const std::vector<Json> &manifests,
             const Json &cell = cells->at(c);
             const Json *options = cell.find("options");
             const Json *seed = cell.find("seed");
-            if (!options || !seed ||
-                seed->kind() != Json::Kind::UInt) {
+            if (!options || (seed && seed->kind() != Json::Kind::UInt)) {
                 throwSimError(ErrorKind::InvalidArgument,
                               "cell %zu in %s has no options/seed",
                               c, sources[i].c_str());
             }
-            uint64_t id = identityHash(
-                cellIdentityFromJson(*options, seed->asUInt()));
             CellCopy copy;
             copy.pure = pureCellJson(cell);
             const Json *status = cell.find("status");
             copy.status = status ? status->asString() : "ok";
-            copy.seed = seed->asUInt();
-            copy.label = labelOfCell(*options);
+            copy.seed = seed ? seed->asUInt() : 0;
+            copy.label = core::cellLabel(*options);
             copy.source = i;
+            copy.id =
+                identityHash(cellIdentityFromJson(*options, copy.seed));
 
             if (sharded) {
                 // Every recorded cell must be a planned unit owned by
                 // the shard that wrote it.
-                auto owner_it = owners.find(id);
+                auto owner_it = owners.find(copy.id);
                 if (owner_it == owners.end()) {
                     throwSimError(
                         ErrorKind::InvalidArgument,
@@ -448,10 +444,13 @@ mergeManifests(const std::vector<Json> &manifests,
                         provs[i].index);
                 }
             }
-            if (!pool.count(id))
-                appearance.push_back(id);
-            pool[id].push_back(std::move(copy));
+            all.push_back(std::move(copy));
         }
+    }
+    for (const CellCopy &copy : all) {
+        if (!pool.count(copy.id))
+            appearance.push_back(copy.id);
+        pool[copy.id].push_back(&copy);
     }
 
     // Emit the merged cells in canonical order and account for holes.
@@ -461,10 +460,7 @@ mergeManifests(const std::vector<Json> &manifests,
     merged["bench"] = res.bench;
     Json out = Json::array();
 
-    auto emitCopy = [&](const std::vector<CellCopy> &copies,
-                        int ownerShard) {
-        const CellCopy &copy = chooseCopy(copies, sources);
-        res.duplicates += copies.size() - 1;
+    auto emit = [&](const CellCopy &copy, int ownerShard) {
         ++res.cells;
         if (copy.status == "ok") {
             ++res.okCells;
@@ -473,6 +469,13 @@ mergeManifests(const std::vector<Json> &manifests,
                                  ownerShard, sources[copy.source]});
         }
         out.push(copy.pure);
+    };
+    auto emitChosen = [&](const std::vector<const CellCopy *> &copies,
+                          int ownerShard) {
+        res.duplicates += copies.size() - 1;
+        emit(chooseCopy(copies, sources,
+                        keepFirstOk ? &res.conflicts : nullptr),
+             ownerShard);
     };
 
     if (sharded) {
@@ -483,31 +486,18 @@ mergeManifests(const std::vector<Json> &manifests,
                                      int(unit.shard), ""});
                 continue;
             }
-            emitCopy(it->second, int(unit.shard));
+            emitChosen(it->second, int(unit.shard));
         }
     } else if (manifests.size() == 1) {
         // Canonicalization of one manifest: purify every cell in
         // place, preserving order and duplicates exactly.
-        const Json &cells = manifests[0].at("cells");
-        for (size_t c = 0; c < cells.size(); ++c) {
-            const Json &cell = cells.at(c);
-            const Json *status = cell.find("status");
-            std::string st = status ? status->asString() : "ok";
-            ++res.cells;
-            if (st == "ok") {
-                ++res.okCells;
-            } else {
-                res.holes.push_back(
-                    {labelOfCell(cell.at("options")),
-                     cell.at("seed").asUInt(), st, -1, sources[0]});
-            }
-            out.push(pureCellJson(cell));
-        }
+        for (const CellCopy &copy : all)
+            emit(copy, -1);
     } else {
         // Plain join of unsharded manifests: dedup by identity in
         // first-appearance order, first ok occurrence wins.
         for (uint64_t id : appearance)
-            emitCopy(pool.at(id), -1);
+            emitChosen(pool.at(id), -1);
     }
     merged["cells"] = std::move(out);
     res.manifest = std::move(merged);

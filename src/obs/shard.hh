@@ -25,7 +25,7 @@
  * buildHealthView() is the live side: it aggregates the per-shard
  * heartbeat files a SweepMonitor emits into one cross-shard progress
  * and health view, flagging stalled or dead shards.  The CLI wrapper
- * for both is tools/tps-merge.
+ * for both is tools/tps.cc: `tps merge` and `tps watch`.
  */
 
 #ifndef TPS_OBS_SHARD_HH
@@ -177,6 +177,9 @@ struct MergeResult
     size_t okCells = 0;     //!< of those, cells with status "ok"
     size_t duplicates = 0;  //!< retried copies resolved first-ok-wins
     std::vector<MergeHole> holes;
+    //! Labels of ok copies dropped for differing from the kept one
+    //! (only with keepFirstOk; otherwise such inputs are rejected).
+    std::vector<std::string> conflicts;
 };
 
 /**
@@ -189,13 +192,17 @@ struct MergeResult
  * outside the planned grid is foreign) or none do (a plain join:
  * single input passes through purified; several inputs dedup by cell
  * identity, first occurrence wins).  Two "ok" copies of one cell with
- * different pure bytes are rejected as a determinism violation.
+ * different pure bytes are rejected as a determinism violation --
+ * unless @p keepFirstOk, which keeps the first ok copy and lists the
+ * others in MergeResult::conflicts (a report over a rerun made by a
+ * different build).  Cells are labelled with core::cellLabel().
  *
  * @throws SimError{InvalidArgument} with a one-line actionable message
  *         on any inconsistency.
  */
 MergeResult mergeManifests(const std::vector<Json> &manifests,
-                           const std::vector<std::string> &sources);
+                           const std::vector<std::string> &sources,
+                           bool keepFirstOk = false);
 
 // ---------------------------------------------------------------------
 // Cross-shard run health from heartbeat files.

@@ -12,7 +12,7 @@
  * endpoint: with Config::heartbeatPath set it keeps a small
  * "tps-heartbeat" JSON file up to date (atomic tmp+rename writes, on a
  * background thread) with done/failed/retried counts, throughput, ETA
- * and peak RSS, so `tps-merge --watch` on a shared filesystem can show
+ * and peak RSS, so `tps watch` on a shared filesystem can show
  * cross-shard health.  Trace output stamps the shard index into the
  * Chrome-trace pid so per-shard traces load side-by-side.
  *

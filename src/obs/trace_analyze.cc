@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/tps_system.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
@@ -156,18 +157,6 @@ analyzeCell(const TraceCell &cell)
     return a;
 }
 
-std::string
-manifestCellLabel(const Json &cell)
-{
-    const Json &opts = cell.at("options");
-    std::string label =
-        opts.at("workload").asString() + "/" + cell.at("design").asString();
-    const std::string &timing = opts.at("timing").asString();
-    if (timing != "real")
-        label += "/" + timing;
-    return label;
-}
-
 const Json *
 findManifestCell(const Json &manifest, const std::string &label,
                  uint64_t seed)
@@ -178,7 +167,7 @@ findManifestCell(const Json &manifest, const std::string &label,
     for (size_t i = 0; i < cells->size(); ++i) {
         const Json &cell = cells->at(i);
         if (cell.at("seed").asUInt() == seed &&
-            manifestCellLabel(cell) == label) {
+            core::cellLabel(cell.at("options")) == label) {
             return &cell;
         }
     }

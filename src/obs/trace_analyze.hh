@@ -3,7 +3,7 @@
  * Offline miss-attribution analysis over event traces.
  *
  * Consumes one cell's event stream (obs/event_trace.hh) and reduces it
- * to the reports tools/tps-analyze prints: where the TLB misses were
+ * to the reports `tps analyze` prints: where the TLB misses were
  * (hot 4 KB regions), what page sizes and VMAs they charged, what the
  * page walks cost, and how bursty the miss stream was.
  *
@@ -16,8 +16,8 @@
  * tests/analyze_test.cc and the fig10 acceptance check enforce.
  *
  * Manifest join: a trace cell carries (label, seed); a manifest cell
- * carries the same seed plus the fields cellLabel() is built from, so
- * manifestCellLabel() + the seed match a TraceCell without heuristics.
+ * carries the same seed plus the "options" object core::cellLabel() is
+ * computed from, so the two match without heuristics.
  */
 
 #ifndef TPS_OBS_TRACE_ANALYZE_HH
@@ -115,14 +115,8 @@ struct CellAnalysis
 CellAnalysis analyzeCell(const TraceCell &cell);
 
 /**
- * Reconstruct core::cellLabel() from a run-manifest cell object
- * ("workload.name", "design", "options.timing"), for joining manifest
- * cells with trace cells.
- */
-std::string manifestCellLabel(const Json &cell);
-
-/**
- * The manifest cell matching (@p label, @p seed), or nullptr.
+ * The manifest cell whose core::cellLabel() and seed are (@p label,
+ * @p seed), or nullptr.
  * @p manifest is a parsed tps-run-manifest document.
  */
 const Json *findManifestCell(const Json &manifest,
@@ -150,7 +144,7 @@ struct ResidualRow
 std::vector<ResidualRow> residualMisses(const CellAnalysis &a,
                                         const Json *manifestCell);
 
-/** The full analysis as a JSON document (tps-analyze --json). */
+/** The full analysis as a JSON document (`tps analyze --json`). */
 Json analysisToJson(const CellAnalysis &a, size_t topRegions);
 
 } // namespace tps::obs

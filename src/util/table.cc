@@ -70,9 +70,24 @@ Table::print(std::ostream &os) const
 void
 Table::printCsv(std::ostream &os) const
 {
+    // RFC 4180 quoting: a field holding a comma (fmtCount's thousands
+    // separators) or a quote is wrapped in quotes, quotes doubled.
     auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            os << (c == 0 ? "" : ",") << row[c];
+        for (size_t c = 0; c < row.size(); ++c) {
+            const std::string &field = row[c];
+            os << (c == 0 ? "" : ",");
+            if (field.find_first_of(",\"") == std::string::npos) {
+                os << field;
+                continue;
+            }
+            os << '"';
+            for (char ch : field) {
+                if (ch == '"')
+                    os << '"';
+                os << ch;
+            }
+            os << '"';
+        }
         os << "\n";
     };
     emit(headers_);

@@ -30,7 +30,11 @@ class Table
     /** Render the table, column-aligned, to @p os. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no padding, comma-separated) to @p os. */
+    /**
+     * Render as CSV (no padding, comma-separated) to @p os.  A field
+     * containing a comma or a double quote is quoted, its quotes
+     * doubled, so every row has exactly columns() fields.
+     */
     void printCsv(std::ostream &os) const;
 
     size_t rows() const { return rows_.size(); }

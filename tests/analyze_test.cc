@@ -1,6 +1,6 @@
 /**
  * @file
- * tps-analyze unit tests: a hand-written event stream with totals,
+ * `tps analyze` unit tests: a hand-written event stream with totals,
  * per-page-size breakdown, top-N hot regions and histogram percentiles
  * all computed by hand, plus the trace <-> run-manifest join by
  * (cell label, seed) and its exact-miss-count reconciliation.
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/tps_system.hh"
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
 #include "obs/trace_analyze.hh"
@@ -161,6 +162,7 @@ handManifest(uint64_t misses, const std::string &timing = "real")
     cell["seed"] = uint64_t(42);
     Json &opts = cell["options"];
     opts["workload"] = std::string("gups");
+    opts["design"] = std::string("thp");
     opts["timing"] = timing;
     cell["stats"]["mmu"]["l1"]["misses"] = misses;
 
@@ -173,7 +175,7 @@ handManifest(uint64_t misses, const std::string &timing = "real")
 TEST(Analyze, ManifestJoinByLabelAndSeed)
 {
     Json manifest = handManifest(7);
-    EXPECT_EQ(manifestCellLabel(manifest.at("cells").at(0)),
+    EXPECT_EQ(core::cellLabel(manifest.at("cells").at(0).at("options")),
               "gups/thp");
 
     const Json *cell = findManifestCell(manifest, "gups/thp", 42);
@@ -182,7 +184,7 @@ TEST(Analyze, ManifestJoinByLabelAndSeed)
     EXPECT_EQ(findManifestCell(manifest, "gups/tps", 42), nullptr);
 
     Json perfect = handManifest(7, "perfect-l2");
-    EXPECT_EQ(manifestCellLabel(perfect.at("cells").at(0)),
+    EXPECT_EQ(core::cellLabel(perfect.at("cells").at(0).at("options")),
               "gups/thp/perfect-l2");
     EXPECT_EQ(findManifestCell(perfect, "gups/thp", 42), nullptr);
     EXPECT_NE(findManifestCell(perfect, "gups/thp/perfect-l2", 42),

@@ -1,19 +1,23 @@
 /**
  * @file
  * CLI error-contract and sharded-sweep end-to-end tests for the
- * command-line surface: tps-analyze, tps-report, tps-merge and a real
- * figure bench (fig10).
+ * command-line surface: the `tps` front door (merge, watch, report,
+ * analyze) and real figure benches (fig02, fig10, ablations).
  *
- * The contract under test: every tool, fed empty input, an unreadable
- * file or a non-manifest JSON document, exits non-zero with a single
- * actionable line on stderr -- never a crash, a zero exit, or silent
- * truncation.  The fig10 end-to-end test drives the tentpole through
- * the real binaries: shard a sweep with --shard=i/N, merge the
- * partials with tps-merge, and require the result to be byte-identical
- * to the unsharded run's canonical manifest.  The hole tests pin how a
- * bench renders cells that did not run: a timed-out or unowned cell
- * prints as a hole, never as a number, and a failed cell makes the
- * bench exit non-zero.
+ * The contract under test: every subcommand, fed empty input, an
+ * unreadable file, a non-manifest JSON document or an empty flag
+ * value, exits non-zero with a single actionable line on stderr --
+ * never a crash, a zero exit, or silent truncation.  The fig10
+ * end-to-end test drives sharding through the real binaries: shard a
+ * sweep with --shard=i/N, merge the partials with `tps merge`, and
+ * require the result to be byte-identical to the unsharded run's
+ * canonical manifest.  The hole tests pin how a bench renders cells
+ * that did not run: a timed-out or unowned cell prints as a hole,
+ * never as a number, and a failed cell makes the bench exit non-zero.
+ * The label tests pin the one cell key: within a bench's planned grid
+ * two cells share a label exactly when they share an identity, so
+ * `tps report` and `tps analyze` can tell native, SMT and virtualized
+ * runs apart.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -102,27 +107,27 @@ expectFails(const std::string &cmd, const std::string &needle)
 
 TEST(CliContract, AnalyzeRejectsBadInvocations)
 {
-    expectFails(TPS_ANALYZE_BIN, "expected <summary|report|dump>");
-    expectFails(std::string(TPS_ANALYZE_BIN) + " summary",
+    expectFails(TPS_BIN " analyze", "expected <summary|report|dump>");
+    expectFails(std::string(TPS_BIN " analyze") + " summary",
                 "expected <summary|report|dump>");
-    expectFails(std::string(TPS_ANALYZE_BIN) +
+    expectFails(std::string(TPS_BIN " analyze") +
                     " summary /nonexistent/sweep.trace",
                 "fatal");
-    expectFails(std::string(TPS_ANALYZE_BIN) + " --bogus x y",
+    expectFails(std::string(TPS_BIN " analyze") + " --bogus x y",
                 "unknown option");
 
     // A valid JSON file is not an event-trace container.
     std::string json = tempPath("not_a_trace.json");
     writeText(json, "{\"format\":\"tps-run-manifest\"}");
-    expectFails(std::string(TPS_ANALYZE_BIN) + " summary " + json,
+    expectFails(std::string(TPS_BIN " analyze") + " summary " + json,
                 "fatal");
 
     // An empty (zero-cell) container is empty input, not a report.
     std::string empty = tempPath("empty.trace");
     tps::obs::writeTraceFile(empty, {});
-    expectFails(std::string(TPS_ANALYZE_BIN) + " summary " + empty,
+    expectFails(std::string(TPS_BIN " analyze") + " summary " + empty,
                 "contains no cells");
-    expectFails(std::string(TPS_ANALYZE_BIN) + " report " + empty,
+    expectFails(std::string(TPS_BIN " analyze") + " report " + empty,
                 "contains no cells");
     std::remove(json.c_str());
     std::remove(empty.c_str());
@@ -130,20 +135,20 @@ TEST(CliContract, AnalyzeRejectsBadInvocations)
 
 TEST(CliContract, ReportRejectsBadInvocations)
 {
-    expectFails(TPS_REPORT_BIN, "no manifests given");
-    expectFails(std::string(TPS_REPORT_BIN) + " /nonexistent/m.json",
+    expectFails(TPS_BIN " report", "no manifests given");
+    expectFails(std::string(TPS_BIN " report") + " /nonexistent/m.json",
                 "cannot read manifest");
-    expectFails(std::string(TPS_REPORT_BIN) + " --bogus",
+    expectFails(std::string(TPS_BIN " report") + " --bogus",
                 "unknown option");
 
     std::string foreign = tempPath("foreign.json");
     writeText(foreign, "{\"format\":\"something-else\"}");
-    expectFails(std::string(TPS_REPORT_BIN) + " " + foreign,
+    expectFails(std::string(TPS_BIN " report") + " " + foreign,
                 "not a tps-run-manifest");
 
     std::string truncated = tempPath("truncated.json");
     writeText(truncated, "{\"format\":\"tps-run-man");
-    expectFails(std::string(TPS_REPORT_BIN) + " " + truncated,
+    expectFails(std::string(TPS_BIN " report") + " " + truncated,
                 "cannot read manifest");
     std::remove(foreign.c_str());
     std::remove(truncated.c_str());
@@ -151,29 +156,49 @@ TEST(CliContract, ReportRejectsBadInvocations)
 
 TEST(CliContract, MergeRejectsBadInvocations)
 {
-    expectFails(TPS_MERGE_BIN, "no input manifests");
-    expectFails(std::string(TPS_MERGE_BIN) + " /nonexistent/s0.json",
+    expectFails(TPS_BIN " merge", "no input manifests");
+    expectFails(std::string(TPS_BIN " merge") + " /nonexistent/s0.json",
                 "fatal");
-    expectFails(std::string(TPS_MERGE_BIN) + " --bogus",
+    expectFails(std::string(TPS_BIN " merge") + " --bogus",
                 "unknown option");
 
     std::string foreign = tempPath("merge_foreign.json");
     writeText(foreign, "{\"format\":\"something-else\"}");
-    expectFails(std::string(TPS_MERGE_BIN) + " " + foreign,
+    expectFails(std::string(TPS_BIN " merge") + " " + foreign,
                 "not a tps-run-manifest");
 
     std::string truncated = tempPath("merge_truncated.json");
     writeText(truncated, "{\"cells\": [");
-    expectFails(std::string(TPS_MERGE_BIN) + " " + truncated, "fatal");
+    expectFails(std::string(TPS_BIN " merge") + " " + truncated, "fatal");
 
     // --watch on a directory with no heartbeats is empty input.
     std::string emptyDir = tempPath("no_heartbeats");
     ASSERT_EQ(std::system(("mkdir -p " + emptyDir).c_str()), 0);
-    Cmd watch = run(std::string(TPS_MERGE_BIN) + " --watch=" +
+    Cmd watch = run(std::string(TPS_BIN " watch ") +
                     emptyDir + " --once");
     EXPECT_NE(watch.exitCode, 0);
     std::remove(foreign.c_str());
     std::remove(truncated.c_str());
+}
+
+TEST(CliContract, EmptyFlagValuesAreRejected)
+{
+    // An unset shell variable ("--manifest=$M") must fail loudly, not
+    // silently skip the reconciliation or print to stdout instead.
+    const std::string tps = TPS_BIN;
+    for (const std::string &cmd :
+         {tps + " analyze report x.trace --manifest=",
+          tps + " analyze report x.trace --cell=",
+          tps + " analyze report x.trace --top=",
+          tps + " report m.json --csv=", tps + " report m.json --md=",
+          tps + " report m.json --baseline=", tps + " merge m.json --out=",
+          tps + " watch dir --interval="}) {
+        expectFails(cmd, "needs a value");
+    }
+    expectFails(tps + " analyze report x.trace --seed=1",
+                "unknown option");
+    expectFails(tps, "expected a subcommand");
+    expectFails(tps + " frobnicate", "expected a subcommand");
 }
 
 TEST(CliContract, BenchRejectsBadShardValues)
@@ -315,11 +340,11 @@ TEST(ShardedSweep, Fig10EndToEndMergeIsByteIdentical)
     EXPECT_EQ(totalCells, 4u);
 
     // Canonicalize the unsharded run, merge the shards, compare bytes.
-    ASSERT_EQ(run(std::string(TPS_MERGE_BIN) + " " + full +
+    ASSERT_EQ(run(std::string(TPS_BIN " merge") + " " + full +
                   " --out=" + canon)
                   .exitCode,
               0);
-    Cmd merge = run(std::string(TPS_MERGE_BIN) + " " + s0 + " " + s1 +
+    Cmd merge = run(std::string(TPS_BIN " merge") + " " + s0 + " " + s1 +
                     " --require-complete --out=" + merged);
     ASSERT_EQ(merge.exitCode, 0) << merge.err;
     EXPECT_EQ(slurp(merged), slurp(canon)) << "merge is not "
@@ -328,7 +353,7 @@ TEST(ShardedSweep, Fig10EndToEndMergeIsByteIdentical)
 
     // Merging one shard alone leaves attributed holes and fails
     // --require-complete.
-    Cmd partial = run(std::string(TPS_MERGE_BIN) + " " + s0 +
+    Cmd partial = run(std::string(TPS_BIN " merge") + " " + s0 +
                       " --require-complete --out=/dev/null");
     EXPECT_NE(partial.exitCode, 0);
     EXPECT_NE(partial.err.find("shard 1"), std::string::npos)
@@ -351,11 +376,11 @@ TEST(ShardedSweep, Fig10EndToEndMergeIsByteIdentical)
     // is byte-identical to the freshly run one.
     std::string pureFresh = tempPath("fig10_s0_pure.json");
     std::string pureResumed = tempPath("fig10_resumed_pure.json");
-    ASSERT_EQ(run(std::string(TPS_MERGE_BIN) + " " + s0 +
+    ASSERT_EQ(run(std::string(TPS_BIN " merge") + " " + s0 +
                   " --out=" + pureFresh)
                   .exitCode,
               0);
-    ASSERT_EQ(run(std::string(TPS_MERGE_BIN) + " " + resumed +
+    ASSERT_EQ(run(std::string(TPS_BIN " merge") + " " + resumed +
                   " --out=" + pureResumed)
                   .exitCode,
               0);
@@ -364,6 +389,119 @@ TEST(ShardedSweep, Fig10EndToEndMergeIsByteIdentical)
     for (const std::string &p : {full, s0, s1, canon, merged, resumed,
                                  pureFresh, pureResumed})
         std::remove(p.c_str());
+}
+
+/**
+ * The planned grid of @p bench, from a --shard=0/4096 partial
+ * manifest: every shard plans the full grid, and shard 0 of 4096 owns
+ * few or no cells, so this takes seconds.
+ */
+Json
+plannedGrid(const std::string &bench)
+{
+    std::string manifest = tempPath("grid.json");
+    Cmd result = run(bench + " --scale=0.02 --phys-gb=1 --shard=0/4096"
+                     " --stats-json=" + manifest);
+    EXPECT_EQ(result.exitCode, 0) << result.err;
+    Json partial = tps::obs::readJsonFile(manifest);
+    std::remove(manifest.c_str());
+    return partial.at("host").at("shard").at("grid");
+}
+
+TEST(CellLabels, OneLabelPerCellIdentity)
+{
+    // fig02 runs every workload native, with SMT and virtualized;
+    // ablations varies threshold, alias mode, TLB geometry and MMU
+    // caches.  ablations plans its default TPS cell more than once
+    // (as the 1.0 threshold, the pointer alias mode and the 32-entry
+    // TLB), so the key is: same label exactly when same identity.
+    for (const char *bench : {FIG02_BIN, ABLATIONS_BIN}) {
+        Json grid = plannedGrid(bench);
+        ASSERT_GT(grid.size(), 1u) << bench;
+        std::map<std::string, uint64_t> idOf;
+        std::map<uint64_t, std::string> labelOf;
+        for (size_t u = 0; u < grid.size(); ++u) {
+            std::string label = grid.at(u).at("label").asString();
+            uint64_t id = grid.at(u).at("id").asUInt();
+            auto [l, newLabel] = idOf.emplace(label, id);
+            auto [i, newId] = labelOf.emplace(id, label);
+            EXPECT_EQ(l->second, id) << bench << ": " << label
+                                     << " names two different cells";
+            EXPECT_EQ(i->second, label) << bench << ": one cell has "
+                                        << "labels " << i->second
+                                        << " and " << label;
+        }
+        EXPECT_EQ(idOf.size(), labelOf.size()) << bench;
+    }
+}
+
+/** The Markdown table rows of `tps report` output whose first cell is
+ *  @p row exactly. */
+size_t
+reportRows(const std::string &md, const std::string &row)
+{
+    size_t n = 0;
+    for (size_t pos = md.find("\n| " + row + " |"); pos != std::string::npos;
+         pos = md.find("\n| " + row + " |", pos + 1))
+        ++n;
+    return n;
+}
+
+TEST(CellLabels, ToolsSeeVariantCells)
+{
+    std::string manifest = tempPath("fig02_variants.json");
+    std::string trace = tempPath("fig02_variants.trace");
+    Cmd fig02 = run(std::string(FIG02_BIN) +
+                    " --benchmarks=gups,mcf --scale=0.02 --phys-gb=1"
+                    " --stats-json=" + manifest + " --event-trace=" + trace);
+    ASSERT_EQ(fig02.exitCode, 0) << fig02.err;
+
+    // Native, SMT and virtualized THP are three rows, not one.
+    Cmd report = run(std::string(TPS_BIN " report ") + manifest);
+    ASSERT_EQ(report.exitCode, 0) << report.err;
+    EXPECT_NE(report.err.find("6 cells, 0 holes"), std::string::npos)
+        << report.err;
+    EXPECT_NE(report.out.find("the workload x design grid is complete"),
+              std::string::npos);
+    for (const char *wl : {"gups", "mcf"}) {
+        for (const char *variant : {"", "+smt", "+virt"}) {
+            // One row in each of the MPKI and speedup tables.
+            EXPECT_EQ(reportRows(report.out, std::string(wl) + variant),
+                      2u)
+                << wl << variant << "\n" << report.out;
+        }
+    }
+
+    // The SMT cell is selectable by its label alone and reconciles
+    // with its own manifest cell.
+    Cmd analyze = run(std::string(TPS_BIN " analyze report ") + trace +
+                      " --cell=gups/thp+smt --manifest=" + manifest);
+    ASSERT_EQ(analyze.exitCode, 0) << analyze.err;
+    EXPECT_NE(analyze.out.find("== gups/thp+smt (seed"), std::string::npos)
+        << analyze.out;
+    EXPECT_NE(analyze.out.find("(matches manifest mmu.l1.misses)"),
+              std::string::npos)
+        << analyze.out;
+    std::remove(manifest.c_str());
+    std::remove(trace.c_str());
+
+    // ablations: every one of its 15 cells is reported.
+    std::string ablations = tempPath("ablations_variants.json");
+    Cmd abl = run(std::string(ABLATIONS_BIN) +
+                  " --benchmarks=gcc --scale=0.02 --phys-gb=1"
+                  " --stats-json=" + ablations);
+    ASSERT_EQ(abl.exitCode, 0) << abl.err;
+    Cmd ablReport = run(std::string(TPS_BIN " report ") + ablations);
+    ASSERT_EQ(ablReport.exitCode, 0) << ablReport.err;
+    EXPECT_EQ(ablReport.err.rfind("15 cells, ", 0), 0u) << ablReport.err;
+    for (const char *row : {"gcc", "gcc+thr0.75", "gcc+thr0.5",
+                            "gcc+thr0.25", "gcc+full-copy", "gcc+tlb8",
+                            "gcc+tlb16", "gcc+tlb64", "gcc+skewed",
+                            "gcc+skewed+tlb64", "gups", "gups+no-pwc"}) {
+        EXPECT_EQ(reportRows(ablReport.out, row), 2u)
+            << row << "\n" << ablReport.out;
+    }
+    std::remove(ablations.c_str());
 }
 
 } // namespace

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "vm/ad_bitvector.hh"
 #include "core/tps_math.hh"
 #include "core/tps_system.hh"
@@ -129,6 +135,64 @@ TEST(Design, TlbConfigsMatchDesigns)
     EXPECT_EQ(designTlbConfig(Design::Rmm).design, tlb::TlbDesign::Rmm);
     EXPECT_EQ(designTlbConfig(Design::Colt).design,
               tlb::TlbDesign::Colt);
+}
+
+TEST(CellLabel, EveryVariantFieldChangesTheLabel)
+{
+    RunOptions base;
+    base.workload = "gups";
+    base.design = Design::Thp;
+    EXPECT_EQ(cellLabel(base), "gups/thp");
+
+    // One flip per variant field a bench varies within a sweep; each
+    // must give a label distinct from the base and from every other.
+    std::vector<std::pair<std::function<void(RunOptions &)>, std::string>>
+        flips = {
+            {[](RunOptions &o) { o.smt = true; }, "gups/thp+smt"},
+            {[](RunOptions &o) { o.virtualized = true; }, "gups/thp+virt"},
+            {[](RunOptions &o) { o.fiveLevel = true; }, "gups/thp+5level"},
+            {[](RunOptions &o) { o.noMmuCache = true; }, "gups/thp+no-pwc"},
+            {[](RunOptions &o) { o.tpsTlbSkewed = true; },
+             "gups/thp+skewed"},
+            {[](RunOptions &o) { o.tpsTlbEntries = 64; }, "gups/thp+tlb64"},
+            {[](RunOptions &o) { o.fragmented = true; }, "gups/thp+frag"},
+            {[](RunOptions &o) { o.tpsThreshold = 0.75; },
+             "gups/thp+thr0.75"},
+            {[](RunOptions &o) { o.aliasMode = vm::AliasMode::FullCopy; },
+             "gups/thp+full-copy"},
+            {[](RunOptions &o) {
+                 o.encoding = vm::SizeEncoding::SizeField;
+             },
+             "gups/thp+size-field"},
+            {[](RunOptions &o) {
+                 o.timing = sim::TlbTimingMode::PerfectL2;
+             },
+             "gups/thp/perfect-l2"},
+        };
+    std::set<std::string> seen = {cellLabel(base)};
+    for (const auto &[flip, want] : flips) {
+        RunOptions opts = base;
+        flip(opts);
+        EXPECT_EQ(cellLabel(opts), want);
+        EXPECT_TRUE(seen.insert(cellLabel(opts)).second) << want;
+    }
+
+    // Variants stack in a fixed order after the timing part.
+    RunOptions both = base;
+    both.design = Design::Tps;
+    both.smt = true;
+    both.tpsTlbSkewed = true;
+    both.tpsTlbEntries = 64;
+    both.timing = sim::TlbTimingMode::PerfectL1;
+    EXPECT_EQ(cellLabel(both), "gups/tps/perfect-l1+smt+skewed+tlb64");
+
+    // Host-only and robustness knobs never change a cell's label.
+    RunOptions host = base;
+    host.paranoid = true;
+    host.cellTimeoutSeconds = 5;
+    host.referencePath = true;
+    host.denseState = true;
+    EXPECT_EQ(cellLabel(host), "gups/thp");
 }
 
 TEST(TpsSystem, QuickstartFlow)

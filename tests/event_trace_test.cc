@@ -2,7 +2,7 @@
  * @file
  * Event-trace tests: varint edge values, per-type round-trips,
  * container determinism across --jobs, and the exact-count invariant
- * (one TlbMiss event per mmu.l1.misses tick) that tps-analyze's
+ * (one TlbMiss event per mmu.l1.misses tick) that `tps analyze`'s
  * manifest reconciliation rests on.
  */
 
@@ -304,7 +304,7 @@ TEST(TraceGolden, FastPathTraceByteIdenticalToReference)
 }
 
 /**
- * The invariant tps-analyze's manifest reconciliation rests on: the
+ * The invariant `tps analyze`'s manifest reconciliation rests on: the
  * measured phase of the trace carries exactly one TlbMiss event per
  * MmuStats::l1Misses tick, and the Walk events match walker.walks.
  */

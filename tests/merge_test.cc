@@ -1,6 +1,6 @@
 /**
  * @file
- * The sharded-sweep golden guarantee and tps-merge rejection tests.
+ * The sharded-sweep golden guarantee and `tps merge` rejection tests.
  *
  * The tentpole test runs one real grid (3 workloads x 2 designs) three
  * ways -- unsharded, as 2 shards, and as 3 shards, each shard with a
@@ -195,7 +195,7 @@ TEST(MergeGolden, ThreeShardsMixedJobsAreByteIdentical)
 
 TEST(MergeGolden, SingleUnshardedInputIsPurifiedPassthrough)
 {
-    // tps-merge over the unsharded manifest strips the host section:
+    // `tps merge` over the unsharded manifest strips the host section:
     // this is how CI canonicalizes before the byte comparison.
     MergeResult res =
         mergeManifests({golden().unshardedHost}, {"full.json"});

@@ -1,6 +1,6 @@
 /**
  * @file
- * tps-report tests: byte-stable output for fixed manifests, correct
+ * `tps report` tests: byte-stable output for fixed manifests, correct
  * hole reporting for partial sweeps, joining several partial manifests
  * into one complete grid, and the memory-telemetry sections driven by
  * a real --mem-telemetry run.

@@ -45,8 +45,8 @@ fullGrid()
             cells.push_back(cell(wl, d));
         }
     }
-    // Ablation-style cells that share (label, seed) with the plain
-    // ones but differ in options: identity must still distinguish them.
+    // Ablation-style cells that share the seed with the plain ones but
+    // differ in options: identity must still distinguish them.
     core::RunOptions five = cell("gups", core::Design::Tps);
     five.fiveLevel = true;
     cells.push_back(five);

@@ -426,6 +426,19 @@ TEST(Table, CsvOutput)
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
+TEST(Table, CsvQuotesFieldsWithCommasAndQuotes)
+{
+    // fmtCount's thousands separators must not split a CSV field.
+    Table t({"benchmark", "thp misses", "note"});
+    t.addRow({"gups", fmtCount(25716), "say \"hi\""});
+    t.addRow({"mcf", "0", "plain"});
+    std::ostringstream os;
+    t.printCsv(os);
+    EXPECT_EQ(os.str(), "benchmark,thp misses,note\n"
+                        "gups,\"25,716\",\"say \"\"hi\"\"\"\n"
+                        "mcf,0,plain\n");
+}
+
 TEST(Format, Double)
 {
     EXPECT_EQ(fmtDouble(1.234, 2), "1.23");
