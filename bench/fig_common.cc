@@ -1,8 +1,6 @@
 #include "fig_common.hh"
 
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -18,6 +16,7 @@
 #include "obs/stats_bindings.hh"
 #include "sim/perf_model.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "workloads/registry.hh"
 
 namespace tps::bench {
@@ -241,73 +240,6 @@ finishBench(const FigOptions &opts)
     // `tps merge --require-complete` reports for the whole sweep.
     return opts.shard.active() ? 0 : 1;
 }
-
-namespace {
-
-/**
- * Strict unsigned decimal parse: the whole string must be digits and
- * fit uint64_t.  atoi-style silent truncation ("8x" -> 8, "" -> 0) is
- * exactly how a typo'd sweep burns a night, so reject it up front.
- */
-bool
-parseU64(const char *s, uint64_t *out)
-{
-    if (*s == '\0' || *s == '-' || *s == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno != 0 || end == s || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
-
-/**
- * Strict byte-size parse: digits with an optional single k/m/g/t
- * suffix (binary units, case-insensitive).  "1t" = 1 TiB.
- */
-bool
-parseSize(const char *s, uint64_t *out)
-{
-    size_t len = std::strlen(s);
-    if (len == 0)
-        return false;
-    unsigned shift = 0;
-    char last = s[len - 1];
-    switch (last | 0x20) {
-      case 'k': shift = 10; break;
-      case 'm': shift = 20; break;
-      case 'g': shift = 30; break;
-      case 't': shift = 40; break;
-      default: break;
-    }
-    std::string digits(s, shift ? len - 1 : len);
-    uint64_t v = 0;
-    if (!parseU64(digits.c_str(), &v))
-        return false;
-    if (shift && v > (~0ull >> shift))
-        return false;
-    *out = v << shift;
-    return true;
-}
-
-/** Strict finite-double parse: whole string, no trailing garbage. */
-bool
-parseF64(const char *s, double *out)
-{
-    if (*s == '\0')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(s, &end);
-    if (errno != 0 || end == s || *end != '\0' || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
-
-} // namespace
 
 FigOptions
 parseArgs(int argc, char **argv)

@@ -1,14 +1,13 @@
 #include "obs/shard.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
 
 #include "obs/run_manifest.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 #include "util/sim_error.hh"
 
@@ -96,28 +95,6 @@ pureCellJson(const Json &cell)
 // Shard specification and planning.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Strict unsigned decimal parse (no sign, no trailing garbage). */
-bool
-parseShardU32(const char *s, size_t len, unsigned *out)
-{
-    if (len == 0 || len > 10)
-        return false;
-    uint64_t v = 0;
-    for (size_t i = 0; i < len; ++i) {
-        if (s[i] < '0' || s[i] > '9')
-            return false;
-        v = v * 10 + unsigned(s[i] - '0');
-    }
-    if (v > 0xffffffffull)
-        return false;
-    *out = static_cast<unsigned>(v);
-    return true;
-}
-
-} // namespace
-
 bool
 parseShardSpec(const std::string &text, ShardSpec *out)
 {
@@ -126,17 +103,15 @@ parseShardSpec(const std::string &text, ShardSpec *out)
         text.find('/', slash + 1) != std::string::npos) {
         return false;
     }
-    ShardSpec spec;
-    if (!parseShardU32(text.data(), slash, &spec.index) ||
-        !parseShardU32(text.data() + slash + 1, text.size() - slash - 1,
-                       &spec.count)) {
+    uint64_t index = 0, count = 0;
+    if (!parseU64(text.substr(0, slash).c_str(), &index) ||
+        !parseU64(text.substr(slash + 1).c_str(), &count)) {
         return false;
     }
-    if (spec.count == 0 || spec.count > kMaxShards ||
-        spec.index >= spec.count) {
+    if (count == 0 || count > kMaxShards || index >= count)
         return false;
-    }
-    *out = spec;
+    out->index = static_cast<unsigned>(index);
+    out->count = static_cast<unsigned>(count);
     return true;
 }
 

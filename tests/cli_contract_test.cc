@@ -201,6 +201,19 @@ TEST(CliContract, EmptyFlagValuesAreRejected)
     expectFails(tps + " frobnicate", "expected a subcommand");
 }
 
+TEST(CliContract, NonFiniteIntervalIsRejected)
+{
+    // strtod takes nan, inf and overflow (as inf); such an interval
+    // made `tps watch` refresh without sleeping.  --once keeps a
+    // regression from spinning here.
+    for (const char *bad :
+         {"nan", "inf", "1e999", "1e300", "0", "-1", "2x", " 2"}) {
+        expectFails(std::string(TPS_BIN " watch dir --once --interval=") +
+                        "'" + bad + "'",
+                    "bad --interval value");
+    }
+}
+
 TEST(CliContract, BenchRejectsBadShardValues)
 {
     for (const char *bad :

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for util: bit operations, RNG determinism and
- * distributions, statistics accumulators, table formatting.
+ * distributions, statistics accumulators, table formatting, strict
+ * number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "util/bitops.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -532,6 +534,74 @@ TEST(Format, Count)
     EXPECT_EQ(fmtCount(1), "1");
     EXPECT_EQ(fmtCount(1234), "1,234");
     EXPECT_EQ(fmtCount(1234567), "1,234,567");
+}
+
+TEST(Parse, U64AcceptsWholeDecimals)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", &v));
+    EXPECT_EQ(v, ~0ull);
+}
+
+TEST(Parse, U64RejectsSignSpaceGarbageAndOverflow)
+{
+    uint64_t v = 7;
+    for (const char *bad : {"", "-1", "+1", " 1", " -1", "1 ", "8x", "x8",
+                            "0x10", "1e3", "18446744073709551616",
+                            "99999999999999999999999"}) {
+        EXPECT_FALSE(parseU64(bad, &v)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
+TEST(Parse, SizeSuffixes)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseSize("512", &v));
+    EXPECT_EQ(v, 512u);
+    EXPECT_TRUE(parseSize("4k", &v));
+    EXPECT_EQ(v, 4096u);
+    EXPECT_TRUE(parseSize("64G", &v));
+    EXPECT_EQ(v, 64ull << 30);
+    EXPECT_TRUE(parseSize("1t", &v));
+    EXPECT_EQ(v, 1ull << 40);
+    EXPECT_TRUE(parseSize("16777215t", &v));
+    EXPECT_EQ(v, 16777215ull << 40);
+}
+
+TEST(Parse, SizeRejectsBadDigitsAndSuffixOverflow)
+{
+    uint64_t v = 7;
+    for (const char *bad : {"", "k", "-1g", "+1g", " 1g", "1gb", "1.5g",
+                            "1p", "16777216t", "17179869184g",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseSize(bad, &v)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(v, 7u);
+}
+
+TEST(Parse, F64AcceptsFiniteNumbers)
+{
+    double v = 0;
+    EXPECT_TRUE(parseF64("0.5", &v));
+    EXPECT_EQ(v, 0.5);
+    EXPECT_TRUE(parseF64("-2", &v));
+    EXPECT_EQ(v, -2.0);
+    EXPECT_TRUE(parseF64("1e3", &v));
+    EXPECT_EQ(v, 1000.0);
+}
+
+TEST(Parse, F64RejectsNonFiniteGarbageAndOverflow)
+{
+    double v = 7;
+    for (const char *bad : {"", " 1", "1 ", "2x", "nan", "NaN", "-nan",
+                            "inf", "-inf", "infinity", "1e999", "-1e999",
+                            "1e-999"}) {
+        EXPECT_FALSE(parseF64(bad, &v)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(v, 7.0);
 }
 
 } // namespace

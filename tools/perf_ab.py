@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Same-host speed gate: this checkout against a base ref.
+
+    python3 tools/perf_ab.py <base-ref>
+
+Checks <base-ref> out into a temporary git worktree and runs the
+benchmark BENCHMARK.json declares (perfbench/run.py) there and in this
+checkout, on every workload at the file's run_seconds with --trace 0.
+Runs go in PAIRS interleaved pairs: pair i runs seed SEED0 + i on both
+sides, and the side that runs first alternates from pair to pair, so a
+slow spell on the host lands on both sides alike.
+
+For each workload and end-to-end metric it prints the base's median
+and IQR, this checkout's median, the change in percent and in how many
+pairs this checkout did better.  It exits 1 when a median is worse
+than the base's by more than the metric's BENCHMARK.json bound *and*
+by more than the base's IQR, when a run of this checkout reports
+correct: false, or when its share of failed cells is higher than the
+base's.  A metric whose base IQR is wider than its bound, or whose
+median is worse by more than the bound but within the IQR, is
+reported as unresolved (the host was too noisy to tell) unless every
+run of this checkout beat every run of the base.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 5
+SEED0 = 100
+
+
+def compare(metric, base, change):
+    """One metric's row.  base[i] and change[i] come from pair i."""
+    q1, base_med, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    iqr = q3 - q1
+    change_med = statistics.median(change)
+    sign = 1 if metric["better"] == "lower" else -1
+    worse = sign * (change_med - base_med)
+    bound = metric["bound"] * abs(base_med)
+    beats_all = all(sign * (c - b) < 0 for c in change for b in base)
+    if worse > bound and worse > iqr:
+        verdict = "REGRESSION"
+    elif (worse > bound or iqr > bound) and not beats_all:
+        # The base's own spread hides a change of the bound's size.
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    delta = (change_med - base_med) / base_med if base_med else 0.0
+    return {
+        "metric": metric["name"],
+        "base": base_med,
+        "iqr": iqr,
+        "change": change_med,
+        "delta_pct": 100.0 * delta,
+        "wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+        "verdict": verdict,
+    }
+
+
+def fail_ratio(runs):
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
+def judge(end_to_end, base, change):
+    """Verdict on one workload: (rows, problems).
+
+    base and change are perfbench result objects, pair i at index i.
+    The workload passes when problems is empty.
+    """
+    problems = []
+    if not all(r["correct"] for r in change):
+        problems.append("a run of the change reported correct: false")
+    if fail_ratio(change) > fail_ratio(base):
+        problems.append(f"failed/attempted rose from {fail_ratio(base):.3g}"
+                        f" to {fail_ratio(change):.3g}")
+    rows = []
+    for metric in end_to_end:
+        name = metric["name"]
+        row = compare(metric,
+                      [r["metrics"][name]["value"] for r in base],
+                      [r["metrics"][name]["value"] for r in change])
+        rows.append(row)
+        if row["verdict"] == "REGRESSION":
+            problems.append(f"{name} {row['delta_pct']:+.1f}%, beyond its "
+                            f"bound of {100 * metric['bound']:.0f}% and "
+                            f"the base's IQR")
+    return rows, problems
+
+
+def run_bench(spec, root, workload, seed):
+    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    print(f"[{os.path.basename(root)}] {' '.join(cmd)}", file=sys.stderr,
+          flush=True)
+    out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def measure(spec, base_root):
+    """{workload: {"base": [...], "change": [...]}}, one run per pair."""
+    sides = [("base", base_root), ("change", ROOT)]
+    runs = {w["name"]: {"base": [], "change": []} for w in spec["workloads"]}
+    for pair in range(PAIRS):
+        order = sides if pair % 2 == 0 else sides[::-1]
+        for workload in runs:
+            for side, root in order:
+                runs[workload][side].append(
+                    run_bench(spec, root, workload, SEED0 + pair))
+    return runs
+
+
+def main():
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit("usage: python3 tools/perf_ab.py <base-ref>")
+    base_ref = sys.argv[1]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+
+    with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
+        base_root = os.path.join(tmp, "base")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                        base_root, base_ref], stdout=sys.stderr, check=True)
+        try:
+            runs = measure(spec, base_root)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
+                            "--force", base_root], stdout=sys.stderr)
+
+    print(f"{PAIRS} interleaved pairs per workload, seeds {SEED0}-"
+          f"{SEED0 + PAIRS - 1}, {spec['run_seconds']} s runs; "
+          f"base = {base_ref}")
+    print(f"{'workload':<12} {'metric':<20} {'base median':>12} "
+          f"{'base IQR':>10} {'change':>12} {'delta':>8} {'wins':>5}  "
+          "verdict")
+    failed = False
+    for workload, sides in runs.items():
+        rows, problems = judge(spec["end_to_end"], sides["base"],
+                               sides["change"])
+        for r in rows:
+            print(f"{workload:<12} {r['metric']:<20} {r['base']:>12.5g} "
+                  f"{r['iqr']:>10.3g} {r['change']:>12.5g} "
+                  f"{r['delta_pct']:>+7.1f}% {r['wins']:>3}/{PAIRS}  "
+                  f"{r['verdict']}")
+        for p in problems:
+            print(f"FAIL {workload}: {p}")
+        failed |= bool(problems)
+    print("perf A/B: " + ("FAIL" if failed else "pass"))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

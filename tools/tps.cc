@@ -65,6 +65,7 @@
 #include "obs/shard.hh"
 #include "obs/trace_analyze.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/sim_error.hh"
 
 using namespace tps;
@@ -320,12 +321,14 @@ cmdWatch(const Args &args)
         tps_fatal("expected one watch directory, got %zu argument(s) "
                   "(try --help)", args.positional.size());
     const std::string &dir = args.positional[0];
+    // Bounded above too: sleep_for overflows on huge durations and
+    // returns at once, which would turn the refresh into a busy loop.
     double interval = 2.0;
     if (std::string text = args.value("interval"); !text.empty()) {
-        char *end = nullptr;
-        interval = std::strtod(text.c_str(), &end);
-        if (*end != '\0' || interval <= 0)
+        if (!parseF64(text.c_str(), &interval) || interval <= 0 ||
+            interval > 86400) {
             tps_fatal("bad --interval value '%s'", text.c_str());
+        }
     }
     bool once = args.has("once");
     bool tty = isatty(fileno(stdout));
@@ -474,13 +477,10 @@ void
 analyzeReport(const obs::TraceCell &cell, const Args &args)
 {
     obs::CellAnalysis a = obs::analyzeCell(cell);
-    size_t top = 20;
+    uint64_t top = 20;
     if (std::string text = args.value("top"); !text.empty()) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-        if (*end != '\0' || text[0] == '-' || v == 0)
+        if (!parseU64(text.c_str(), &top) || top == 0)
             tps_fatal("bad --top value '%s'", text.c_str());
-        top = static_cast<size_t>(v);
     }
 
     const obs::Json *mcell = nullptr;
