@@ -61,7 +61,7 @@ class Pcg32
     next()
     {
         uint64_t old = state_;
-        state_ = old * 6364136223846793005ULL + inc_;
+        state_ = old * kMultiplier + inc_;
         uint32_t xorshifted =
             static_cast<uint32_t>(((old >> 18) ^ old) >> 27);
         uint32_t rot = static_cast<uint32_t>(old >> 59);
@@ -112,7 +112,36 @@ class Pcg32
     /** Bernoulli trial with probability @p p of returning true. */
     bool chance(double p) { return uniform() < p; }
 
+    /**
+     * Skip @p delta outputs of next() in O(log delta) steps: the state
+     * afterwards is the one @p delta calls to next() would leave.
+     * Brown, "Random Number Generation with Arbitrary Strides" (1994):
+     * square the LCG step (multiplier, increment) once per bit of
+     * @p delta and fold in the steps whose bits are set.  The period
+     * is 2^64, so advance(2^64 - 1) steps back by one.
+     */
+    void
+    advance(uint64_t delta)
+    {
+        uint64_t mult = kMultiplier, plus = inc_;
+        uint64_t acc_mult = 1, acc_plus = 0;
+        for (; delta != 0; delta >>= 1) {
+            if (delta & 1) {
+                acc_mult *= mult;
+                acc_plus = acc_plus * mult + plus;
+            }
+            plus *= mult + 1;
+            mult *= mult;
+        }
+        state_ = acc_mult * state_ + acc_plus;
+    }
+
+    /** Same state and stream: the two produce the same outputs. */
+    bool operator==(const Pcg32 &) const = default;
+
   private:
+    static constexpr uint64_t kMultiplier = 6364136223846793005ULL;
+
     uint64_t state_;
     uint64_t inc_;
 };

@@ -4,9 +4,11 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <tuple>
 
 #include "util/logging.hh"
+#include "util/task_pool.hh"
 
 namespace tps::workloads {
 
@@ -69,40 +71,33 @@ rmatEdge(Pcg32 &gen, unsigned scale)
     return {static_cast<uint32_t>(src), static_cast<uint32_t>(dst)};
 }
 
-std::shared_ptr<const Graph500::Csr>
-buildCsr(unsigned scale, unsigned edge_factor, uint64_t seed)
-{
-    uint64_t n = 1ull << scale;
-    uint64_t m = n * edge_factor;
+/**
+ * Fewest edges per block in buildCsr()'s default split.  A block this
+ * size draws for a few ms per pass, so starting and joining its thread
+ * costs little next to it; smaller graphs, such as the scale-12 test
+ * graphs, take one or two blocks.
+ */
+constexpr uint64_t kMinBlockEdges = 1ull << 15;
 
-    // Two passes over the same deterministic edge stream avoid
-    // materializing the edge list: pass 1 counts degrees, pass 2
-    // scatters into the CSR (each undirected edge appears both ways).
-    auto csr = std::make_shared<Graph500::Csr>();
-    {
-        Pcg32 gen(seed, 0x6006);
-        std::vector<uint32_t> degree(n, 0);
-        for (uint64_t e = 0; e < m; ++e) {
-            auto [s, d] = rmatEdge(gen, scale);
-            ++degree[s];
-            ++degree[d];
-        }
-        csr->xadj.assign(n + 1, 0);
-        for (uint64_t v = 0; v < n; ++v)
-            csr->xadj[v + 1] = csr->xadj[v] + degree[v];
-    }
-    csr->adj.resize(csr->xadj.back());
-    {
-        Pcg32 gen(seed, 0x6006);
-        std::vector<uint64_t> cursor(csr->xadj.begin(),
-                                     csr->xadj.end() - 1);
-        for (uint64_t e = 0; e < m; ++e) {
-            auto [s, d] = rmatEdge(gen, scale);
-            csr->adj[cursor[s]++] = d;
-            csr->adj[cursor[d]++] = s;
+/**
+ * Run block(t) for every t in [0, blocks): block 0 on the calling
+ * thread, every other block on a thread of its own, or on the caller
+ * when that thread cannot start.  Returns once every block is done.
+ */
+template <typename Block>
+void
+forEachBlock(unsigned blocks, const Block &block)
+{
+    std::vector<std::jthread> threads;
+    threads.reserve(blocks);
+    for (unsigned t = 1; t < blocks; ++t) {
+        try {
+            threads.emplace_back(block, t);
+        } catch (...) {
+            block(t);
         }
     }
-    return csr;
+    block(0);
 }
 
 } // namespace
@@ -121,6 +116,69 @@ Graph500::Graph500(Graph500Config cfg)
           cfg.seed),
       cfg_(cfg)
 {
+}
+
+std::shared_ptr<const Graph500::Csr>
+Graph500::buildCsr(unsigned scale, unsigned edgeFactor, uint64_t seed,
+                   unsigned threads)
+{
+    uint64_t n = 1ull << scale;
+    uint64_t m = n * edgeFactor;
+    if (threads == 0)
+        threads = static_cast<unsigned>(
+            std::clamp<uint64_t>(m / kMinBlockEdges, 1,
+                                 util::TaskPool::hardwareThreads()));
+
+    // Two passes over the same deterministic edge stream avoid
+    // materializing the edge list: pass 1 counts degrees, pass 2
+    // scatters into the CSR (each undirected edge appears both ways).
+    // Thread t takes the contiguous edge block [first(t), first(t+1))
+    // in both passes; every edge draws 2 * scale next() outputs, so
+    // its generator jumps ahead past the edges before its block.
+    auto first = [&](unsigned t) { return m * t / threads; };
+    auto blockGen = [&](unsigned t) {
+        Pcg32 gen(seed, 0x6006);
+        gen.advance(first(t) * 2 * scale);
+        return gen;
+    };
+    auto csr = std::make_shared<Graph500::Csr>();
+    csr->xadj.assign(n + 1, 0);
+    std::vector<std::vector<uint32_t>> count(
+        threads, std::vector<uint32_t>(n, 0));
+    forEachBlock(threads, [&](unsigned t) {
+        Pcg32 gen = blockGen(t);
+        uint32_t *degree = count[t].data();
+        for (uint64_t e = first(t), end = first(t + 1); e < end; ++e) {
+            auto [s, d] = rmatEdge(gen, scale);
+            ++degree[s];
+            ++degree[d];
+        }
+    });
+    // Sum the blocks' degrees into xadj, and turn each block's count
+    // into its first slot inside the vertex's adjacency: the blocks
+    // before it fill the slots before, as the serial stream would.
+    for (uint64_t v = 0; v < n; ++v) {
+        uint32_t degree = 0;
+        for (std::vector<uint32_t> &block : count) {
+            uint32_t block_degree = block[v];
+            block[v] = degree;
+            degree += block_degree;
+        }
+        csr->xadj[v + 1] = csr->xadj[v] + degree;
+    }
+    csr->adj.resize(csr->xadj.back());
+    forEachBlock(threads, [&](unsigned t) {
+        Pcg32 gen = blockGen(t);
+        const uint64_t *xadj = csr->xadj.data();
+        uint32_t *adj = csr->adj.data();
+        uint32_t *slot = count[t].data();
+        for (uint64_t e = first(t), end = first(t + 1); e < end; ++e) {
+            auto [s, d] = rmatEdge(gen, scale);
+            adj[xadj[s] + slot[s]++] = d;
+            adj[xadj[d] + slot[d]++] = s;
+        }
+    });
+    return csr;
 }
 
 void

@@ -7,14 +7,27 @@
  * emits the BFS access stream: sequential adjacency scans interleaved
  * with data-dependent visits to random vertices.
  *
- * Because graph construction is expensive and every figure runs the
- * benchmark under several designs, the host-side CSR is memoized per
- * (scale, edgeFactor, seed) and shared between instances; the BFS
- * itself remains per-instance and deterministic.  The memo builds each
- * key's graph once per process, outside its lock: concurrent setups of
- * the same key wait for that one build, setups of different keys build
- * concurrently.  A build that throws (only std::bad_alloc can) fails
- * every waiting setup and leaves no entry, so a later setup rebuilds.
+ * Graph construction is expensive, so the host-side CSR is memoized
+ * per (scale, edgeFactor, seed) and shared between instances; the BFS
+ * itself remains per-instance and deterministic.
+ * Cells of different designs do not share a graph (core::runSeed
+ * hashes the design into the seed).  The cells that do are those with
+ * one cell seed, such as the real, perfect-L2 and perfect-L1 THP cells
+ * of one Fig. 13/14 speedup pipeline, and instances a test sets up
+ * directly.  The memo builds each key's graph once per process,
+ * outside its lock: concurrent setups of the same key wait for that
+ * one build, setups of different keys build concurrently.
+ *
+ * One build runs on every host core (buildCsr()): the edge stream is
+ * cut into contiguous blocks, one per thread, and each thread starts
+ * its generator at its block by PCG jump-ahead.  Per-thread degree
+ * counts become each thread's scatter cursors, so the CSR is the
+ * serial build's, byte for byte, whatever the thread count.  Every
+ * array is allocated on the calling thread before a pass's threads
+ * start, and a block whose thread cannot start runs on the caller, so
+ * a build throws only std::bad_alloc, and only from the caller.  A
+ * build that throws fails every waiting setup and leaves no entry, so
+ * a later setup rebuilds.
  */
 
 #ifndef TPS_WORKLOADS_GRAPH500_HH
@@ -56,6 +69,17 @@ class Graph500 : public WorkloadBase
     };
 
     explicit Graph500(Graph500Config cfg = Graph500Config{});
+
+    /**
+     * Build the R-MAT CSR of 2^@p scale vertices and
+     * 2^@p scale * @p edgeFactor undirected edges on @p threads host
+     * threads; 0 takes one per host core, with no block under 2^15
+     * edges.  The result does not depend on @p threads.
+     */
+    static std::shared_ptr<const Csr> buildCsr(unsigned scale,
+                                               unsigned edgeFactor,
+                                               uint64_t seed,
+                                               unsigned threads = 0);
 
     void setup(sim::AllocApi &api) override;
 

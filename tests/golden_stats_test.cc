@@ -24,7 +24,8 @@
  *
  *  4. Graph500's process-wide CSR memo hands every instance the same
  *     graph a serial setup builds, however many threads set up
- *     instances of the same or different graphs at once.
+ *     instances of the same or different graphs at once; and one
+ *     build's CSR is the same for every number of build threads.
  *
  *  5. The end-of-run census runExperiment() fills through
  *     RunHooks::census (page-size histogram, mapped bytes, touched
@@ -34,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -48,6 +50,7 @@
 #include "sim/trace.hh"
 #include "temp_path.hh"
 #include "util/rng.hh"
+#include "workloads/graph500.hh"
 #include "workloads/registry.hh"
 
 namespace tps::core {
@@ -426,6 +429,68 @@ TEST(GoldenStats, Graph500MemoConcurrentSetup)
     for (unsigned i = 0; i < hashes.size(); ++i)
         EXPECT_EQ(hashes[i], pins[i % 2].hash)
             << "instance " << i << ": actual 0x" << std::hex << hashes[i];
+}
+
+/** Index of the first element where @p a and @p b differ, or -1. */
+template <typename T>
+int64_t
+firstMismatch(const std::vector<T> &a, const std::vector<T> &b)
+{
+    if (a.size() != b.size())
+        return int64_t(std::min(a.size(), b.size()));
+    auto it = std::mismatch(a.begin(), a.end(), b.begin()).first;
+    return it == a.end() ? -1 : int64_t(it - a.begin());
+}
+
+TEST(GoldenStats, Graph500CsrIdenticalAcrossThreadCounts)
+{
+    // Every split of the edge stream into thread blocks, even one with
+    // more blocks than host cores, builds the one-thread CSR element
+    // for element.
+    using workloads::Graph500;
+    for (unsigned scale : {10u, 13u}) {
+        for (const test::Graph500StreamPin &pin :
+             test::kGraph500StreamPins) {
+            auto serial = Graph500::buildCsr(scale, pin.edgeFactor,
+                                             pin.seed, 1);
+            ASSERT_EQ(serial->xadj.back(),
+                      2 * (uint64_t(pin.edgeFactor) << scale));
+            for (unsigned threads : {2u, 3u, 4u, 7u, 16u}) {
+                auto csr = Graph500::buildCsr(scale, pin.edgeFactor,
+                                              pin.seed, threads);
+                std::string what =
+                    "scale " + std::to_string(scale) + ", edge factor " +
+                    std::to_string(pin.edgeFactor) + ", seed " +
+                    std::to_string(pin.seed) + ", " +
+                    std::to_string(threads) + " threads";
+                EXPECT_EQ(firstMismatch(csr->xadj, serial->xadj), -1)
+                    << what;
+                EXPECT_EQ(firstMismatch(csr->adj, serial->adj), -1)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(GoldenStats, Graph500CsrPinnedAtSweepScale)
+{
+    // The stream pins are scale 12, where the default build cuts the
+    // stream into at most two blocks.  perfbench graph_sweep's 2^16
+    // vertices at edge factor 8 take one block per host core (up to
+    // 16); the hashes were recorded from the one-thread build.
+    auto bytes = [](const auto &v) {
+        return stableHash64(std::string_view(
+            reinterpret_cast<const char *>(v.data()),
+            v.size() * sizeof(v[0])));
+    };
+    for (auto [seed, hash] :
+         {std::pair<uint64_t, uint64_t>{7, 0xe47afe0f97903da7ull},
+          {0x1234567890abcdefull, 0xa69b6ac5ccc3100cull}}) {
+        auto csr = workloads::Graph500::buildCsr(16, 8, seed);
+        uint64_t got = hashCombine(bytes(csr->xadj), bytes(csr->adj));
+        EXPECT_EQ(got, hash) << "seed " << seed << ": actual 0x" << std::hex
+                             << got;
+    }
 }
 
 TEST(GoldenStats, CensusOfFinalAddressSpace)

@@ -161,6 +161,39 @@ TEST(Pcg32, BelowRoughlyUniform)
         EXPECT_NEAR(c, 10000, 600);
 }
 
+TEST(Pcg32, AdvanceMatchesStepping)
+{
+    for (uint64_t k : {0ull, 1ull, 2ull, 31ull, 1000ull, 123457ull}) {
+        Pcg32 stepped(99, 0x6006), jumped(99, 0x6006);
+        for (uint64_t i = 0; i < k; ++i)
+            stepped.next();
+        jumped.advance(k);
+        EXPECT_TRUE(jumped == stepped) << "k = " << k;
+        EXPECT_EQ(jumped.next64(), stepped.next64()) << "k = " << k;
+    }
+}
+
+TEST(Pcg32, AdvanceComposes)
+{
+    Pcg32 split(5, 11), whole(5, 11);
+    split.advance(77777);
+    split.advance(0x123456789ull);
+    whole.advance(77777 + 0x123456789ull);
+    EXPECT_TRUE(split == whole);
+}
+
+TEST(Pcg32, AdvanceWrapsAtPeriod)
+{
+    // The LCG's period is 2^64: 2^64 - 1 steps and one more come back
+    // to the start.
+    const Pcg32 start(42, 3);
+    Pcg32 rng = start;
+    rng.advance(~0ull);
+    EXPECT_FALSE(rng == start);
+    rng.next();
+    EXPECT_TRUE(rng == start);
+}
+
 TEST(Zipf, UniformWhenThetaZero)
 {
     Pcg32 rng(4);
