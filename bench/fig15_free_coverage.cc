@@ -27,7 +27,7 @@ main(int argc, char **argv)
                 "100% at 4 KB declining smoothly; significant "
                 "intermediate contiguity, little at 2 MB and beyond");
 
-    os::PhysMemory pm(opts.physBytes);
+    os::PhysMemory pm(opts.run.physBytes);
     os::Fragmenter fragmenter(pm, os::FragmenterConfig{});
     fragmenter.run();
 
@@ -59,7 +59,7 @@ main(int argc, char **argv)
     std::printf("buddyinfo-style free lists:\n");
     printTable(opts, lists);
 
-    if (opts.memTelemetry) {
+    if (opts.run.memTelemetry) {
         // Per-size-class extfrag: 0 means a block of that size is
         // available (or memory is merely short); near 1 means the free
         // memory exists but is shattered below that size.

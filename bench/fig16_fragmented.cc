@@ -18,12 +18,12 @@ using namespace tps::bench;
 int
 main(int argc, char **argv)
 {
-    FigOptions opts = parseArgs(argc, argv);
-    initBench("fig16_fragmented", opts);
     // Default to quarter-size footprints so everything fits the ~30%
-    // of memory the fragmented host has free.
-    if (opts.scale == 1.0)
-        opts.scale = 0.25;
+    // of memory the fragmented host has free; --scale overrides it.
+    FigOptions defaults;
+    defaults.run.scale = 0.25;
+    FigOptions opts = parseArgs(argc, argv, defaults);
+    initBench("fig16_fragmented", opts);
     printHeader("Figure 16",
                 "% of L1 DTLB misses eliminated under heavy "
                 "fragmentation (baseline: THP)",
@@ -61,7 +61,7 @@ main(int argc, char **argv)
                   {"", "", fmtPercent(sum.mean())});
     printTable(opts, table);
 
-    if (opts.memTelemetry) {
+    if (opts.run.memTelemetry) {
         // End-of-run memory state per cell: how fragmented the 2 MB
         // class ended up, overall contiguity, and the largest page the
         // design actually mapped.  This is the fragmentation story

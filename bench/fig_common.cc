@@ -37,16 +37,12 @@ struct BenchContext
     std::unique_ptr<obs::SweepMonitor> monitor;
     std::mutex mu;
     std::vector<obs::CellArtifact> artifacts;
-    obs::ResumeLog resume;
-    bool resumeActive = false;
-    unsigned retries = 0;
+    obs::ResumeLog resume;  //!< empty unless --resume found a manifest
     //! --shard: the full planned grid plus this process's slice.
     obs::ShardPlan plan;
     //! --event-trace: per-cell event traces collected by runCells.
-    bool traceRequested = false;
     std::vector<obs::TraceCell> traceCells;
     //! --profile: sweep-wide simulator self-profile totals.
-    bool profileRequested = false;
     obs::ProfileRegistry profileTotal;
 };
 
@@ -71,41 +67,6 @@ syncShardMonitor()
     }
 }
 
-/** The prior run's pure cell JSON for @p run, or nullptr. */
-const obs::Json *
-resumeLookup(const core::RunOptions &run)
-{
-    return g_bench.resumeActive ? g_bench.resume.find(run) : nullptr;
-}
-
-/** A Resumed artifact carrying the prior cell JSON verbatim. */
-obs::CellArtifact
-restoredArtifact(const core::RunOptions &run, const obs::Json &pure)
-{
-    obs::CellArtifact cell;
-    cell.options = run;
-    cell.stats = obs::simStatsFromJson(pure.at("stats"));
-    cell.status = core::CellStatus::Resumed;
-    cell.attempts = 0;
-    cell.restored = pure;
-    return cell;
-}
-
-/** The bench-wide sweep monitor; nullptr without --trace/--progress. */
-obs::SweepMonitor *
-sweepMonitor()
-{
-    return g_bench.monitor.get();
-}
-
-/** Record a cell artifact (failed, restored, or fresh). */
-void
-recordArtifact(obs::CellArtifact cell)
-{
-    std::lock_guard<std::mutex> lock(g_bench.mu);
-    g_bench.artifacts.push_back(std::move(cell));
-}
-
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -127,10 +88,7 @@ initBench(const std::string &name, const FigOptions &opts)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count();
-    g_bench.retries = opts.retries;
     g_bench.plan = obs::ShardPlan(opts.shard);
-    g_bench.traceRequested = !opts.eventTracePath.empty();
-    g_bench.profileRequested = opts.profile;
     if (!opts.tracePath.empty() || opts.progress ||
         !opts.heartbeatPath.empty()) {
         obs::SweepMonitor::Config mcfg;
@@ -145,15 +103,16 @@ initBench(const std::string &name, const FigOptions &opts)
         if (opts.statsJson.empty())
             tps_fatal("--resume needs --stats-json=<path> (the manifest "
                       "to resume from and rewrite)");
-        g_bench.resumeActive = g_bench.resume.load(opts.statsJson);
-        if (g_bench.resumeActive) {
+        if (g_bench.resume.load(opts.statsJson)) {
             std::fprintf(stderr,
                          "resuming: %zu completed cells in %s\n",
                          g_bench.resume.size(), opts.statsJson.c_str());
         } else {
             std::fprintf(stderr,
-                         "no usable manifest at %s; running all cells\n",
-                         opts.statsJson.c_str());
+                         "no usable manifest at %s (%s); running all "
+                         "cells\n",
+                         opts.statsJson.c_str(),
+                         g_bench.resume.error().c_str());
         }
     }
 }
@@ -242,19 +201,19 @@ finishBench(const FigOptions &opts)
 }
 
 FigOptions
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, FigOptions opts)
 {
-    FigOptions opts;
+    core::RunOptions &run = opts.run;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--scale=", 8) == 0) {
-            if (!parseF64(arg + 8, &opts.scale) || opts.scale <= 0)
+            if (!parseF64(arg + 8, &run.scale) || run.scale <= 0)
                 tps_fatal("bad --scale value '%s'", arg + 8);
         } else if (std::strncmp(arg, "--phys-gb=", 10) == 0) {
             uint64_t gb = 0;
             if (!parseU64(arg + 10, &gb) || gb == 0 || gb > (1u << 20))
                 tps_fatal("bad --phys-gb value '%s'", arg + 10);
-            opts.physBytes = gb << 30;
+            run.physBytes = gb << 30;
         } else if (std::strcmp(arg, "--csv") == 0) {
             opts.csv = true;
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
@@ -278,8 +237,10 @@ parseArgs(int argc, char **argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
-            if (!parseU64(arg + 9, &opts.epochs) || opts.epochs == 0)
+            if (!parseU64(arg + 9, &run.epochAccesses) ||
+                run.epochAccesses == 0) {
                 tps_fatal("bad --epochs value '%s'", arg + 9);
+            }
         } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
             opts.statsJson = arg + 13;
             if (opts.statsJson.empty())
@@ -291,15 +252,15 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(arg, "--progress") == 0) {
             opts.progress = true;
         } else if (std::strcmp(arg, "--paranoid") == 0) {
-            opts.paranoid = true;
+            run.paranoid = true;
         } else if (std::strncmp(arg, "--check-every=", 14) == 0) {
-            if (!parseU64(arg + 14, &opts.checkEvery) ||
-                opts.checkEvery == 0) {
+            if (!parseU64(arg + 14, &run.checkEvery) ||
+                run.checkEvery == 0) {
                 tps_fatal("bad --check-every value '%s'", arg + 14);
             }
         } else if (std::strncmp(arg, "--cell-timeout=", 15) == 0) {
-            if (!parseF64(arg + 15, &opts.cellTimeout) ||
-                opts.cellTimeout <= 0) {
+            if (!parseF64(arg + 15, &run.cellTimeoutSeconds) ||
+                run.cellTimeoutSeconds <= 0) {
                 tps_fatal("bad --cell-timeout value '%s'", arg + 15);
             }
         } else if (std::strncmp(arg, "--retries=", 10) == 0) {
@@ -316,15 +277,15 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(arg, "--profile") == 0) {
             opts.profile = true;
         } else if (std::strcmp(arg, "--mem-telemetry") == 0) {
-            opts.memTelemetry = true;
+            run.memTelemetry = true;
         } else if (std::strncmp(arg, "--footprint=", 12) == 0) {
-            if (!parseSize(arg + 12, &opts.footprintBytes) ||
-                opts.footprintBytes == 0) {
+            if (!parseSize(arg + 12, &run.footprintBytes) ||
+                run.footprintBytes == 0) {
                 tps_fatal("bad --footprint value '%s' (want e.g. "
                           "512m, 64g, 1t)", arg + 12);
             }
         } else if (std::strcmp(arg, "--dense-state") == 0) {
-            opts.denseState = true;
+            run.denseState = true;
         } else if (std::strncmp(arg, "--shard=", 8) == 0) {
             if (!obs::parseShardSpec(arg + 8, &opts.shard)) {
                 tps_fatal("bad --shard value '%s' (want i/N with "
@@ -394,18 +355,9 @@ core::RunOptions
 makeRun(const FigOptions &opts, const std::string &wl,
         core::Design design)
 {
-    core::RunOptions run;
+    core::RunOptions run = opts.run;
     run.workload = wl;
     run.design = design;
-    run.scale = opts.scale;
-    run.physBytes = opts.physBytes;
-    run.epochAccesses = opts.epochs;
-    run.paranoid = opts.paranoid;
-    run.checkEvery = opts.checkEvery;
-    run.cellTimeoutSeconds = opts.cellTimeout;
-    run.memTelemetry = opts.memTelemetry;
-    run.footprintBytes = opts.footprintBytes;
-    run.denseState = opts.denseState;
     return run;
 }
 
@@ -416,7 +368,7 @@ makeSmtRun(const FigOptions &opts, const std::string &wl,
     core::RunOptions run = makeRun(opts, wl, design);
     run.smt = true;
     // Two full workload instances need twice the physical memory.
-    run.physBytes = opts.physBytes * 2;
+    run.physBytes = opts.run.physBytes * 2;
     return run;
 }
 
@@ -542,10 +494,17 @@ runCells(const FigOptions &opts,
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!owned[i])
             continue;
-        const obs::Json *pure = census ? nullptr : resumeLookup(cells[i]);
+        const obs::Json *pure =
+            census ? nullptr : g_bench.resume.find(cells[i]);
         if (pure) {
-            arts[i] = restoredArtifact(cells[i], *pure);
-            results[i] = CellResult{arts[i].stats, {}};
+            // A Resumed artifact carries the prior cell JSON verbatim.
+            obs::CellArtifact &cell = arts[i];
+            cell.options = cells[i];
+            cell.stats = obs::simStatsFromJson(pure->at("stats"));
+            cell.status = core::CellStatus::Resumed;
+            cell.attempts = 0;
+            cell.restored = *pure;
+            results[i] = CellResult{cell.stats, {}};
         } else {
             to_run.push_back(cells[i]);
             to_run_idx.push_back(i);
@@ -553,11 +512,11 @@ runCells(const FigOptions &opts,
     }
 
     core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(sweepMonitor());
+    runner.setMonitor(g_bench.monitor.get());
     core::SweepPolicy policy;
     policy.retries = opts.retries;
-    policy.eventTrace = g_bench.traceRequested;
-    policy.profile = g_bench.profileRequested;
+    policy.eventTrace = !opts.eventTracePath.empty();
+    policy.profile = opts.profile;
     policy.census = census;
     std::vector<core::CellOutcome> outcomes =
         runner.runGuarded(to_run, policy);
@@ -602,9 +561,10 @@ runCells(const FigOptions &opts,
     // Record in input order so the manifest layout is independent of
     // pool scheduling (the golden test compares it across --jobs).
     // Unowned cells get no manifest entry.
+    std::lock_guard<std::mutex> lock(g_bench.mu);
     for (size_t i = 0; i < arts.size(); ++i) {
         if (owned[i])
-            recordArtifact(std::move(arts[i]));
+            g_bench.artifacts.push_back(std::move(arts[i]));
     }
     return results;
 }

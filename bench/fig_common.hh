@@ -23,27 +23,20 @@ namespace tps::bench {
 /** Options shared by all figure benches. */
 struct FigOptions
 {
-    double scale = 1.0;        //!< workload scale factor
-    uint64_t physBytes = 8ull << 30;
+    //! The template makeRun() copies into every cell: --scale,
+    //! --phys-gb, --epochs, --paranoid, --check-every, --cell-timeout,
+    //! --mem-telemetry, --footprint and --dense-state write into it.
+    core::RunOptions run;
     bool csv = false;          //!< emit CSV instead of aligned text
     unsigned jobs = 0;         //!< worker threads; 0 = hw concurrency
     std::vector<std::string> benchmarks;  //!< default: evaluation suite
-    uint64_t epochs = 0;       //!< epoch-sample interval in accesses
     std::string statsJson;     //!< write a run manifest here
     std::string tracePath;     //!< write a Chrome trace here
     bool progress = false;     //!< live per-cell progress on stderr
-    bool paranoid = false;     //!< full invariant sweep after each cell
-    uint64_t checkEvery = 0;   //!< in-run invariant check interval
-    double cellTimeout = 0.0;  //!< per-cell wall-clock budget (seconds)
     unsigned retries = 0;      //!< extra attempts for a failed cell
     bool resume = false;       //!< skip cells already in --stats-json
     std::string eventTracePath; //!< write a binary event trace here
     bool profile = false;      //!< dump simulator self-profile to stderr
-    bool memTelemetry = false;  //!< record physical-memory telemetry
-    //! Workload footprint override in bytes (0 = workload default);
-    //! physical capacity grows to fit automatically.
-    uint64_t footprintBytes = 0;
-    bool denseState = false;    //!< dense simulator-state oracle
     //! --shard=i/N: execute only the cells this shard owns (partition
     //! by canonical cell identity; see obs/shard.hh).
     obs::ShardSpec shard;
@@ -52,17 +45,17 @@ struct FigOptions
 };
 
 /**
- * Parse common flags: --scale=<f>, --phys-gb=<n>, --csv, --jobs=<n>,
- * --benchmarks=a,b,c, --epochs=<n>, --stats-json=<path>,
- * --trace=<path>, --progress, --paranoid, --check-every=<n>,
- * --cell-timeout=<sec>, --retries=<n>, --resume,
+ * Parse common flags over the defaults in @p opts: --scale=<f>,
+ * --phys-gb=<n>, --csv, --jobs=<n>, --benchmarks=a,b,c, --epochs=<n>,
+ * --stats-json=<path>, --trace=<path>, --progress, --paranoid,
+ * --check-every=<n>, --cell-timeout=<sec>, --retries=<n>, --resume,
  * --event-trace=<path>, --profile, --mem-telemetry,
  * --footprint=<size[kmgt]>, --dense-state, --shard=i/N,
  * --heartbeat=<path>, --heartbeat-interval=<sec>.  Values are parsed
  * strictly (trailing garbage, out-of-range, or nonsensical values like
  * --jobs=0 are rejected with a one-line error); unknown flags are fatal.
  */
-FigOptions parseArgs(int argc, char **argv);
+FigOptions parseArgs(int argc, char **argv, FigOptions opts = {});
 
 /**
  * Set up bench-wide observability from the parsed options: the sweep
@@ -94,7 +87,7 @@ void printHeader(const std::string &fig_id, const std::string &title,
  */
 void printTable(const FigOptions &opts, const Table &table);
 
-/** Build RunOptions for one (workload, design) cell. */
+/** The opts.run template for one (workload, design) cell. */
 core::RunOptions makeRun(const FigOptions &opts, const std::string &wl,
                          core::Design design);
 

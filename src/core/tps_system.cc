@@ -10,6 +10,7 @@
 #include "os/policy_rmm.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/sim_error.hh"
 
 namespace tps::core {
 
@@ -29,6 +30,44 @@ designName(Design d)
         return "rmm";
       case Design::Colt:
         return "colt";
+    }
+    return "?";
+}
+
+const char *
+timingName(sim::TlbTimingMode m)
+{
+    switch (m) {
+      case sim::TlbTimingMode::Real:
+        return "real";
+      case sim::TlbTimingMode::PerfectL1:
+        return "perfect-l1";
+      case sim::TlbTimingMode::PerfectL2:
+        return "perfect-l2";
+    }
+    return "?";
+}
+
+const char *
+aliasModeName(vm::AliasMode m)
+{
+    switch (m) {
+      case vm::AliasMode::Pointer:
+        return "pointer";
+      case vm::AliasMode::FullCopy:
+        return "full-copy";
+    }
+    return "?";
+}
+
+const char *
+encodingName(vm::SizeEncoding e)
+{
+    switch (e) {
+      case vm::SizeEncoding::Napot:
+        return "napot";
+      case vm::SizeEncoding::SizeField:
+        return "size-field";
     }
     return "?";
 }
@@ -107,34 +146,35 @@ runSeed(const RunOptions &opts)
 std::string
 cellLabel(const obs::Json &options)
 {
-    // Each variant field and its tag; a non-bool value follows its tag.
-    static constexpr std::pair<const char *, const char *> kVariants[] = {
-        {"smt", "smt"},           {"virtualized", "virt"},
-        {"fiveLevel", "5level"},  {"noMmuCache", "no-pwc"},
-        {"tpsTlbSkewed", "skewed"}, {"tpsTlbEntries", "tlb"},
-        {"fragmented", "frag"},   {"tpsThreshold", "thr"},
-        {"aliasMode", ""},        {"encoding", ""},
-    };
     static const obs::Json defaults = obs::runOptionsJson(RunOptions{});
 
-    std::string label = options.at("workload").asString() + "/" +
-                        options.at("design").asString();
-    const obs::Json *timing = options.find("timing");
-    if (timing && timing->asString() != "real")
-        label += "/" + timing->asString();
-    for (const auto &[key, tag] : kVariants) {
-        const obs::Json *value = options.find(key);
-        const obs::Json *dflt = defaults.find(key);
+    // Name and Path parts each go in as "/<value>"; the name's leading
+    // '/' is dropped at the end.
+    std::string path, tags;
+    forEachRunOption([&](const auto &row) {
+        if (row.label == OptionLabel::None)
+            return;
+        const obs::Json *value = options.find(row.key);
+        if (row.label == OptionLabel::Name) {
+            if (!value || value->kind() != obs::Json::Kind::String) {
+                throwSimError(ErrorKind::InvalidArgument,
+                              "cell options have no '%s' name", row.key);
+            }
+            path += "/" + value->asString();
+            return;
+        }
+        const obs::Json *dflt = defaults.find(row.key);
         if (!value || (dflt && value->dump() == dflt->dump()))
-            continue;
-        label += "+";
-        label += tag;
+            return;
+        std::string &out = row.label == OptionLabel::Path ? path : tags;
+        out += row.label == OptionLabel::Path ? "/" : "+";
+        out += row.tag;
         if (value->kind() == obs::Json::Kind::String)
-            label += value->asString();
+            out += value->asString();
         else if (value->kind() != obs::Json::Kind::Bool)
-            label += value->dump();
-    }
-    return label;
+            out += value->dump();
+    });
+    return path.substr(1) + tags;
 }
 
 std::string

@@ -50,7 +50,13 @@ makePolicy(Design d, double tps_threshold = 1.0);
 /** Build the TLB-hierarchy geometry for @p d (Table I defaults). */
 tlb::TlbHierarchyConfig designTlbConfig(Design d);
 
-/** Everything one experiment run needs. */
+/** Printable names of the enum-valued run options. */
+const char *timingName(sim::TlbTimingMode m);
+const char *aliasModeName(vm::AliasMode m);
+const char *encodingName(vm::SizeEncoding e);
+
+/** Everything one experiment run needs.  How each member is recorded,
+ *  identified and labelled is declared once, in forEachRunOption(). */
 struct RunOptions
 {
     std::string workload;          //!< registry name
@@ -63,9 +69,6 @@ struct RunOptions
     bool fiveLevel = false;
     bool noMmuCache = false;       //!< disable paging-structure caches
     bool tpsTlbSkewed = false;     //!< skewed-associative TPS TLB
-    //! Any-size TPS L1 TLB entries.  Part of cell identity only when
-    //! it differs from the Table I default, like footprintBytes.
-    unsigned tpsTlbEntries = tlb::TlbHierarchyConfig{}.tpsTlbEntries;
     bool fragmented = false;       //!< pre-age physical memory
     os::FragmenterConfig fragmenter;
     sim::TlbTimingMode timing = sim::TlbTimingMode::Real;
@@ -79,23 +82,98 @@ struct RunOptions
     uint64_t chunkAccesses = 0;    //!< engine batch size (0 = default)
     double cellTimeoutSeconds = 0; //!< per-cell wall-clock budget (0 = none)
     //! Record physical-memory telemetry (obs/mem_telemetry.hh) into
-    //! SimStats::mem.  Part of cell identity: it adds a "mem" section
-    //! to the stat tree, so manifests distinguish telemetry runs.
+    //! SimStats::mem, which adds a "mem" section to the stat tree.
     bool memTelemetry = false;
     //! Override the workload's nominal memory footprint in bytes
     //! (gups table, graph500 edge arrays, dbx1000 buffer pool);
     //! 0 = workload default.  When set, runExperiment() also grows the
     //! physical capacity to fit (physBytes acts as a floor), letting a
-    //! terabyte-footprint cell run on a default command line.  Part of
-    //! cell identity when nonzero.
+    //! terabyte-footprint cell run on a default command line.
     uint64_t footprintBytes = 0;
+    //! Any-size TPS L1 TLB entries.
+    unsigned tpsTlbEntries = tlb::TlbHierarchyConfig{}.tpsTlbEntries;
     //! Use the dense simulator state (fully materialized buddy free
     //! lists, resident page-table nodes) instead of the sparse default
-    //! -- the oracle side of the sparse/dense golden tests.  Host-only
-    //! representation switch: stats and manifests are bit-identical
-    //! either way, so it is never serialized into manifests.
+    //! -- the oracle side of the sparse/dense golden tests.
     bool denseState = false;
 };
+
+/** When a run option is written to a manifest cell's "options". */
+enum class OptionEmit
+{
+    Always,
+    WhenSet,  //!< off its default only: older manifests stay the same
+    Never,    //!< host-only: how a cell is computed, never what
+};
+
+/** Canonical options are reset to their defaults in cell identity:
+ *  robustness-only knobs, which cannot change a cell's statistics. */
+enum class OptionIdentity { Keyed, Canonical };
+
+/** Where a run option shows in cellLabel(). */
+enum class OptionLabel
+{
+    None,
+    Name,  //!< always, '/'-joined: "workload/design"
+    Path,  //!< "/<value>" after the name, when off its default
+    Tag,   //!< "+<tag>[<value>]" when off its default
+};
+
+/** One row of the run-option table.  A Tag option that is not a flag
+ *  appends its value ("thr" + "0.75"); an empty tag leaves the value. */
+template <typename T>
+struct OptionRow
+{
+    const char *key;  //!< manifest "options" key
+    T RunOptions::*member;
+    OptionLabel label = OptionLabel::None;
+    const char *tag = "";
+    OptionEmit emit = OptionEmit::Always;
+    OptionIdentity identity = OptionIdentity::Keyed;
+};
+
+/**
+ * The run-option table: @p v gets one OptionRow per RunOptions
+ * member, in manifest key order.  obs::runOptionsJson(), cellLabel()
+ * and obs::cellIdentityFromJson() visit it, so a new option is one
+ * member plus one row.  A Canonical row must be emitted Always.
+ */
+template <typename Visit>
+void
+forEachRunOption(Visit &&v)
+{
+    using O = RunOptions;
+    using enum OptionLabel;
+    using enum OptionEmit;
+    constexpr OptionIdentity kCanonical = OptionIdentity::Canonical;
+    v(OptionRow{"workload", &O::workload, Name});
+    v(OptionRow{"design", &O::design, Name});
+    v(OptionRow{"scale", &O::scale});
+    v(OptionRow{"physBytes", &O::physBytes});
+    v(OptionRow{"tpsThreshold", &O::tpsThreshold, Tag, "thr"});
+    v(OptionRow{"smt", &O::smt, Tag, "smt"});
+    v(OptionRow{"virtualized", &O::virtualized, Tag, "virt"});
+    v(OptionRow{"fiveLevel", &O::fiveLevel, Tag, "5level"});
+    v(OptionRow{"noMmuCache", &O::noMmuCache, Tag, "no-pwc"});
+    v(OptionRow{"tpsTlbSkewed", &O::tpsTlbSkewed, Tag, "skewed"});
+    v(OptionRow{"fragmented", &O::fragmented, Tag, "frag"});
+    v(OptionRow{"fragmenter", &O::fragmenter});
+    v(OptionRow{"timing", &O::timing, Path});
+    v(OptionRow{"aliasMode", &O::aliasMode, Tag});
+    v(OptionRow{"encoding", &O::encoding, Tag});
+    v(OptionRow{"maxAccesses", &O::maxAccesses});
+    v(OptionRow{"epochAccesses", &O::epochAccesses});
+    v(OptionRow{"paranoid", &O::paranoid, None, "", Always, kCanonical});
+    v(OptionRow{"checkEvery", &O::checkEvery, None, "", Always, kCanonical});
+    v(OptionRow{"cellTimeoutSeconds", &O::cellTimeoutSeconds, None,
+                "", Always, kCanonical});
+    v(OptionRow{"memTelemetry", &O::memTelemetry, None, "", WhenSet});
+    v(OptionRow{"footprintBytes", &O::footprintBytes, None, "", WhenSet});
+    v(OptionRow{"tpsTlbEntries", &O::tpsTlbEntries, Tag, "tlb", WhenSet});
+    v(OptionRow{"referencePath", &O::referencePath, None, "", Never});
+    v(OptionRow{"chunkAccesses", &O::chunkAccesses, None, "", Never});
+    v(OptionRow{"denseState", &O::denseState, None, "", Never});
+}
 
 /** How one sweep cell ended (recorded in run manifests). */
 enum class CellStatus
@@ -118,19 +196,16 @@ uint64_t runSeed(const RunOptions &opts);
 
 /**
  * The one cell key every artifact names and joins a cell by, computed
- * from a run-manifest cell's "options" object:
- * "workload/design[/timing][+variant...]".  The timing part appears
- * when it is not "real" ("/perfect-l1", "/perfect-l2"); each variant
- * field a bench varies within one sweep adds a "+tag" when it differs
- * from the RunOptions default, in this order: +smt, +virt, +5level,
- * +no-pwc (noMmuCache), +skewed (tpsTlbSkewed), +tlb<N>
- * (tpsTlbEntries), +frag, +thr<x> (tpsThreshold), +<aliasMode> and
- * +<encoding>; for example "gups/thp+smt" or "gcc/tps+skewed+tlb64".
- * Workload and design names contain neither '/' nor '+', so the label
- * splits back into its parts.  Keys an older manifest lacks count as
- * defaults.  Sweep-monitor spans, event-trace cells, shard grids,
- * merge holes and reports all use this label, so within one sweep two
- * cells share a label exactly when they share an identity.
+ * from a run-manifest cell's "options" object: "workload/design", then
+ * the Path and Tag parts of the forEachRunOption() rows that are off
+ * their defaults, for example "gups/thp/perfect-l1" or
+ * "gcc/tps+skewed+tlb64".  Workload and design names contain neither
+ * '/' nor '+', so the label splits back into its parts.  Keys an older
+ * manifest lacks count as defaults, but a missing or non-string name
+ * throws SimError{InvalidArgument}.  Sweep-monitor spans, event-trace
+ * cells, shard grids, merge holes and reports all use this label, so
+ * within one sweep two cells share a label exactly when they share an
+ * identity.
  */
 std::string cellLabel(const obs::Json &options);
 

@@ -1,60 +1,26 @@
 #include "obs/resume.hh"
 
-#include "obs/run_manifest.hh"
 #include "obs/shard.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
 
-std::string
-ResumeLog::key(const Json &options, uint64_t seed)
-{
-    // The canonical identity shared with sweep sharding: the partition
-    // in obs/shard.cc and the resume index must agree on what "the
-    // same cell" means, or --resume + --shard would restore cells a
-    // shard does not own.
-    return cellIdentityFromJson(options, seed);
-}
-
 bool
 ResumeLog::load(const std::string &path)
 {
     cells_.clear();
-
-    Json manifest;
+    error_.clear();
+    MergeResult merged;
     try {
-        manifest = readJsonFile(path);
-    } catch (const SimError &) {
+        merged = mergeManifests({readJsonFile(path)}, {path});
+    } catch (const SimError &e) {
+        error_ = e.what();
         return false;
     }
-
-    const Json *format = manifest.find("format");
-    if (!format || format->kind() != Json::Kind::String ||
-        format->asString() != "tps-run-manifest") {
-        return false;
-    }
-    const Json *cells = manifest.find("cells");
-    if (!cells || cells->kind() != Json::Kind::Array)
-        return false;
-
-    for (size_t i = 0; i < cells->size(); ++i) {
-        const Json &cell = cells->at(i);
-        if (cell.kind() != Json::Kind::Object)
-            continue;
-        // Only completed cells are worth restoring; failed or timed-out
-        // ones must re-run.  Version-1 manifests predate the status
-        // field -- every cell they recorded had completed.
-        if (const Json *status = cell.find("status");
-            status && (status->kind() != Json::Kind::String ||
-                       status->asString() != "ok")) {
-            continue;
-        }
-        const Json *options = cell.find("options");
-        const Json *seed = cell.find("seed");
-        if (!options || !seed || seed->kind() != Json::Kind::UInt)
-            continue;
-
-        cells_[key(*options, seed->asUInt())] = pureCellJson(cell);
+    const Json &cells = merged.manifest.at("cells");
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (merged.cellKeys[i].ok)
+            cells_.emplace(merged.cellKeys[i].id, cells.at(i));
     }
     return true;
 }
@@ -62,8 +28,7 @@ ResumeLog::load(const std::string &path)
 const Json *
 ResumeLog::find(const core::RunOptions &opts) const
 {
-    auto it =
-        cells_.find(key(runOptionsJson(opts), core::runSeed(opts)));
+    auto it = cells_.find(identityHash(cellIdentity(opts)));
     return it == cells_.end() ? nullptr : &it->second;
 }
 

@@ -3,19 +3,13 @@
  * Resumable sweeps: reload a partial run manifest and look up completed
  * cells so a restarted bench can skip them.
  *
- * A manifest written after a crash, ^C, or a sweep with failed cells is
- * a valid resume artifact: ResumeLog indexes only the cells that
- * completed with status "ok"; failed/timed-out cells are simply absent
- * and re-run.  Restored cells carry the prior manifest's pure cell JSON
- * verbatim, which is what makes a resumed sweep's manifest (host
- * section aside) byte-identical to an uninterrupted run --
- * tests/robustness_test.cc enforces this.
- *
- * Cell identity is the canonicalized RunOptions plus the deterministic
- * cell seed.  Robustness-only knobs (paranoid, checkEvery,
- * cellTimeoutSeconds) are canonicalized away: they cannot change a
- * cell's statistics, and resuming with a longer --cell-timeout must
- * still match the cells the shorter budget already finished.
+ * ResumeLog loads the manifest as a single-input mergeManifests() and
+ * indexes its "ok" cells by cell identity (obs/shard.hh), so failed or
+ * timed-out cells re-run, and resuming under other robustness-only
+ * options (a longer --cell-timeout) still finds the cells.  A restored
+ * cell carries the prior pure cell JSON verbatim, which keeps a resumed
+ * sweep's manifest byte-identical to an uninterrupted one
+ * (tests/robustness_test.cc).
  */
 
 #ifndef TPS_OBS_RESUME_HH
@@ -34,13 +28,15 @@ class ResumeLog
 {
   public:
     /**
-     * Load @p path.  Returns false (leaving the log empty) when the
-     * file is missing, unreadable, malformed, or not a run manifest --
-     * a bench treats that as "nothing to resume", not an error.
-     * Host-only keys (wallSeconds, resumed, attempts) are stripped from
-     * each stored cell so the retained JSON is the pure form.
+     * Load @p path.  Returns false (leaving the log empty, with the
+     * one-line reason in error()) when the file is missing or
+     * unreadable, or mergeManifests() rejects it -- a bench treats that
+     * as "nothing to resume", not an error.
      */
     bool load(const std::string &path);
+
+    /** Why the last load() found nothing to resume. */
+    const std::string &error() const { return error_; }
 
     /**
      * The stored pure cell JSON for @p opts, or nullptr when the prior
@@ -51,9 +47,8 @@ class ResumeLog
     size_t size() const { return cells_.size(); }
 
   private:
-    static std::string key(const Json &options, uint64_t seed);
-
-    std::map<std::string, Json> cells_;
+    std::map<uint64_t, Json> cells_;  //!< identityHash -> pure cell
+    std::string error_;
 };
 
 } // namespace tps::obs

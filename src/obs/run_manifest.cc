@@ -1,48 +1,12 @@
 #include "obs/run_manifest.hh"
 
+#include <type_traits>
+
 #include "workloads/registry.hh"
 
 namespace tps::obs {
 
 namespace {
-
-const char *
-timingName(sim::TlbTimingMode m)
-{
-    switch (m) {
-      case sim::TlbTimingMode::Real:
-        return "real";
-      case sim::TlbTimingMode::PerfectL1:
-        return "perfect-l1";
-      case sim::TlbTimingMode::PerfectL2:
-        return "perfect-l2";
-    }
-    return "?";
-}
-
-const char *
-aliasModeName(vm::AliasMode m)
-{
-    switch (m) {
-      case vm::AliasMode::Pointer:
-        return "pointer";
-      case vm::AliasMode::FullCopy:
-        return "full-copy";
-    }
-    return "?";
-}
-
-const char *
-encodingName(vm::SizeEncoding e)
-{
-    switch (e) {
-      case vm::SizeEncoding::Napot:
-        return "napot";
-      case vm::SizeEncoding::SizeField:
-        return "size-field";
-    }
-    return "?";
-}
 
 const char *
 tlbDesignName(tlb::TlbDesign d)
@@ -60,58 +24,52 @@ tlbDesignName(tlb::TlbDesign d)
     return "?";
 }
 
+/** One run option's manifest value: enums by name, numbers and flags
+ *  as they are. */
+template <typename T>
+Json
+optionJson(const T &v)
+{
+    if constexpr (std::is_same_v<T, core::Design>)
+        return core::designName(v);
+    else if constexpr (std::is_same_v<T, sim::TlbTimingMode>)
+        return core::timingName(v);
+    else if constexpr (std::is_same_v<T, vm::AliasMode>)
+        return core::aliasModeName(v);
+    else if constexpr (std::is_same_v<T, vm::SizeEncoding>)
+        return core::encodingName(v);
+    else
+        return Json(v);
+}
+
+Json
+optionJson(const os::FragmenterConfig &f)
+{
+    Json j = Json::object();
+    j["targetFreeFraction"] = f.targetFreeFraction;
+    j["churnOps"] = f.churnOps;
+    j["maxBlockOrder"] = f.maxBlockOrder;
+    j["smallBias"] = f.smallBias;
+    j["seed"] = f.seed;
+    return j;
+}
+
 } // namespace
 
 Json
 runOptionsJson(const core::RunOptions &opts)
 {
+    static const core::RunOptions defaults;
     Json j = Json::object();
-    j["workload"] = opts.workload;
-    j["design"] = std::string(core::designName(opts.design));
-    j["scale"] = opts.scale;
-    j["physBytes"] = opts.physBytes;
-    j["tpsThreshold"] = opts.tpsThreshold;
-    j["smt"] = opts.smt;
-    j["virtualized"] = opts.virtualized;
-    j["fiveLevel"] = opts.fiveLevel;
-    j["noMmuCache"] = opts.noMmuCache;
-    j["tpsTlbSkewed"] = opts.tpsTlbSkewed;
-    j["fragmented"] = opts.fragmented;
-    Json &frag = j["fragmenter"];
-    frag["targetFreeFraction"] = opts.fragmenter.targetFreeFraction;
-    frag["churnOps"] = opts.fragmenter.churnOps;
-    frag["maxBlockOrder"] = opts.fragmenter.maxBlockOrder;
-    frag["smallBias"] = opts.fragmenter.smallBias;
-    frag["seed"] = opts.fragmenter.seed;
-    j["timing"] = std::string(timingName(opts.timing));
-    j["aliasMode"] = std::string(aliasModeName(opts.aliasMode));
-    j["encoding"] = std::string(encodingName(opts.encoding));
-    j["maxAccesses"] = opts.maxAccesses;
-    j["epochAccesses"] = opts.epochAccesses;
-    j["paranoid"] = opts.paranoid;
-    j["checkEvery"] = opts.checkEvery;
-    j["cellTimeoutSeconds"] = opts.cellTimeoutSeconds;
-    // Emitted only when set: telemetry changes the recorded stat tree
-    // (a "mem" section appears), so it is part of cell identity -- but
-    // a telemetry-off manifest stays byte-identical to one written
-    // before the option existed.
-    if (opts.memTelemetry)
-        j["memTelemetry"] = true;
-    // Likewise footprintBytes: a nonzero override changes the workload
-    // (so it must be recorded), while footprint-off manifests stay
-    // byte-identical to pre-option ones.
-    if (opts.footprintBytes != 0)
-        j["footprintBytes"] = opts.footprintBytes;
-    if (opts.tpsTlbEntries != core::RunOptions{}.tpsTlbEntries)
-        j["tpsTlbEntries"] = opts.tpsTlbEntries;
-    // referencePath and chunkAccesses are deliberately absent: they
-    // select the chunk size and translate kernel of the one engine
-    // loop, never what it computes (the differential suite proves
-    // this), and leaving them out keeps manifests from the batched
-    // kernel and the per-access oracle byte-identical.  The same
-    // goes for denseState: sparse and dense are alternate host
-    // representations of identical simulated state (the sparse golden
-    // suite proves bit-identical stats), so it is never serialized.
+    core::forEachRunOption([&](const auto &row) {
+        const auto &value = opts.*row.member;
+        if (row.emit == core::OptionEmit::Never ||
+            (row.emit == core::OptionEmit::WhenSet &&
+             value == defaults.*row.member)) {
+            return;
+        }
+        j[row.key] = optionJson(value);
+    });
     return j;
 }
 
@@ -167,12 +125,13 @@ engineConfigJson(const sim::EngineConfig &cfg)
     cycle["instsPerAccess"] = cfg.cycle.instsPerAccess;
 
     Json &as = j["addressSpace"];
-    as["encoding"] = std::string(encodingName(cfg.addressSpace.encoding));
+    as["encoding"] =
+        std::string(core::encodingName(cfg.addressSpace.encoding));
     as["aliasMode"] =
-        std::string(aliasModeName(cfg.addressSpace.aliasMode));
+        std::string(core::aliasModeName(cfg.addressSpace.aliasMode));
     as["mmapBase"] = cfg.addressSpace.mmapBase;
 
-    j["timing"] = std::string(timingName(cfg.timing));
+    j["timing"] = std::string(core::timingName(cfg.timing));
     j["maxAccesses"] = cfg.maxAccesses;
     j["epochAccesses"] = cfg.epochAccesses;
     j["checkEveryAccesses"] = cfg.checkEveryAccesses;

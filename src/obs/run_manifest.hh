@@ -66,7 +66,7 @@ struct ManifestInfo
     Json shard;
 };
 
-/** Every RunOptions field as JSON (enums by name). */
+/** A cell's "options": core::forEachRunOption's emitted options. */
 Json runOptionsJson(const core::RunOptions &opts);
 
 /** Every EngineConfig knob as JSON (enums by name). */

@@ -26,23 +26,6 @@ toolVersion()
 
 namespace {
 
-/**
- * Overwrite the robustness-only knobs with fixed values so two runs of
- * the same cell under different checking/timeout settings share one
- * identity.  Older (v1) manifests lack the keys entirely; operator[]
- * appends them in the same order runOptionsJson() emits, so the
- * canonical dumps still line up.
- */
-Json
-canonicalOptions(const Json &options)
-{
-    Json j = options;
-    j["paranoid"] = false;
-    j["checkEvery"] = uint64_t(0);
-    j["cellTimeoutSeconds"] = 0.0;
-    return j;
-}
-
 /** 16-hex-digit rendering of a 64-bit hash. */
 std::string
 hex64(uint64_t v)
@@ -58,7 +41,16 @@ hex64(uint64_t v)
 std::string
 cellIdentityFromJson(const Json &options, uint64_t seed)
 {
-    return canonicalOptions(options).dump() + "#" + std::to_string(seed);
+    // Reset the Canonical options to their defaults.  Older (v1)
+    // manifests lack the keys entirely; operator[] appends them in the
+    // order runOptionsJson() emits, so the canonical dumps still line up.
+    static const Json defaults = runOptionsJson(core::RunOptions{});
+    Json canonical = options;
+    core::forEachRunOption([&](const auto &row) {
+        if (row.identity == core::OptionIdentity::Canonical)
+            canonical[row.key] = defaults.at(row.key);
+    });
+    return canonical.dump() + "#" + std::to_string(seed);
 }
 
 std::string
@@ -203,12 +195,21 @@ provOf(const Json &manifest, const std::string &source)
     const Json *shard = host ? host->find("shard") : nullptr;
     if (!shard)
         return prov;
+    using K = Json::Kind;
+    auto is = [](const Json *v, K kind) { return v && v->kind() == kind; };
     const Json *index = shard->find("index");
     const Json *count = shard->find("count");
     const Json *fp = shard->find("gridFingerprint");
     const Json *grid = shard->find("grid");
-    if (!index || !count || !fp || !grid ||
-        grid->kind() != Json::Kind::Array) {
+    bool ok = is(index, K::UInt) && is(count, K::UInt) &&
+              is(fp, K::String) && is(grid, K::Array);
+    for (size_t u = 0; ok && u < grid->size(); ++u) {
+        const Json &unit = grid->at(u);
+        ok = is(unit.find("label"), K::String) &&
+             is(unit.find("seed"), K::UInt) &&
+             is(unit.find("id"), K::UInt) && is(unit.find("shard"), K::UInt);
+    }
+    if (!ok) {
         throwSimError(ErrorKind::InvalidArgument,
                       "%s has a malformed host.shard section",
                       source.c_str());
@@ -279,13 +280,14 @@ mergeManifests(const std::vector<Json> &manifests,
     for (size_t i = 0; i < manifests.size(); ++i) {
         const Json &m = manifests[i];
         const Json *format = m.find("format");
+        const Json *bench = m.find("bench");
         if (!format || format->kind() != Json::Kind::String ||
-            format->asString() != "tps-run-manifest") {
+            format->asString() != "tps-run-manifest" ||
+            (bench && bench->kind() != Json::Kind::String)) {
             throwSimError(ErrorKind::InvalidArgument,
                           "%s is not a tps-run-manifest file",
                           sources[i].c_str());
         }
-        const Json *bench = m.find("bench");
         std::string name = bench ? bench->asString() : "";
         if (i == 0) {
             res.bench = name;
@@ -378,14 +380,15 @@ mergeManifests(const std::vector<Json> &manifests,
             const Json &cell = cells->at(c);
             const Json *options = cell.find("options");
             const Json *seed = cell.find("seed");
-            if (!options || (seed && seed->kind() != Json::Kind::UInt)) {
+            const Json *status = cell.find("status");
+            if (!options || (seed && seed->kind() != Json::Kind::UInt) ||
+                (status && status->kind() != Json::Kind::String)) {
                 throwSimError(ErrorKind::InvalidArgument,
-                              "cell %zu in %s has no options/seed",
-                              c, sources[i].c_str());
+                              "cell %zu in %s has no options, or a bad "
+                              "seed or status", c, sources[i].c_str());
             }
             CellCopy copy;
             copy.pure = pureCellJson(cell);
-            const Json *status = cell.find("status");
             copy.status = status ? status->asString() : "ok";
             copy.seed = seed ? seed->asUInt() : 0;
             copy.label = core::cellLabel(*options);
@@ -437,6 +440,7 @@ mergeManifests(const std::vector<Json> &manifests,
 
     auto emit = [&](const CellCopy &copy, int ownerShard) {
         ++res.cells;
+        res.cellKeys.push_back({copy.id, copy.status == "ok"});
         if (copy.status == "ok") {
             ++res.okCells;
         } else {

@@ -4,9 +4,9 @@
  *
  * A cluster-scale sweep runs as N independent shard processes, each
  * executing `--shard=i/N` of the same bench command line.  The
- * partition is a pure function of *cell identity* -- the same
- * canonicalized (options, seed) string the ResumeLog keys on -- so the
- * union over all shards is provably the full grid with no duplicates,
+ * partition is a pure function of *cell identity* -- the canonical
+ * (options, seed) key that merging and resuming join on -- so the union
+ * over all shards is provably the full grid with no duplicates,
  * regardless of job counts, scheduling, or which machine runs which
  * shard.  Each shard writes a normal run manifest whose host section
  * carries shard provenance (index/count, a fingerprint of the full
@@ -49,11 +49,11 @@ const char *toolVersion();
 
 /**
  * The canonical identity string for one cell, from its manifest
- * "options" JSON and deterministic seed: robustness-only knobs
- * (paranoid, checkEvery, cellTimeoutSeconds) are canonicalized away,
- * then the options dump and the seed are concatenated.  This is the
- * exact key the ResumeLog uses, so sharding and resuming agree on what
- * "the same cell" means.
+ * "options" JSON and deterministic seed: the options the run-option
+ * table (core::forEachRunOption) marks Canonical are reset to their
+ * defaults, then the options dump and the seed are concatenated.
+ * Sharding, merging and resuming all key cells by its identityHash(),
+ * so they agree on what "the same cell" means.
  */
 std::string cellIdentityFromJson(const Json &options, uint64_t seed);
 
@@ -176,6 +176,10 @@ struct MergeResult
     size_t cells = 0;       //!< cells emitted into the merged manifest
     size_t okCells = 0;     //!< of those, cells with status "ok"
     size_t duplicates = 0;  //!< retried copies resolved first-ok-wins
+    //! Each merged cell's identityHash() and whether it is "ok",
+    //! index-aligned with manifest["cells"].
+    struct CellKey { uint64_t id; bool ok; };
+    std::vector<CellKey> cellKeys;
     std::vector<MergeHole> holes;
     //! Labels of ok copies dropped for differing from the kept one
     //! (only with keepFirstOk; otherwise such inputs are rejected).

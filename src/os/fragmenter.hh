@@ -31,6 +31,8 @@ struct FragmenterConfig
     double smallBias = 1.7;            //!< order sampling skew (higher =
                                        //!< more small blocks)
     uint64_t seed = 0x5eed;
+
+    bool operator==(const FragmenterConfig &) const = default;
 };
 
 /** The fragmentation driver. */

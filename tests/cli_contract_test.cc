@@ -2,7 +2,7 @@
  * @file
  * CLI error-contract and sharded-sweep end-to-end tests for the
  * command-line surface: the `tps` front door (merge, watch, report,
- * analyze) and real figure benches (fig02, fig10, ablations).
+ * analyze) and real figure benches (fig02, fig10, fig16, ablations).
  *
  * The contract under test: every subcommand, fed empty input, an
  * unreadable file, a non-manifest JSON document or an empty flag
@@ -254,6 +254,34 @@ TEST(CliContract, TimedOutCellPrintsHoleAndFails)
         EXPECT_NE(row.find("—"), std::string::npos) << row;
         EXPECT_EQ(row.find('%'), std::string::npos) << row;
     }
+}
+
+/** The options.scale every cell of a fig16 run recorded, timed out
+ *  at once so the cells cost nothing. */
+std::set<double>
+fig16Scales(const std::string &flags)
+{
+    std::string manifest = tempPath("fig16_scale.json");
+    Cmd result = run(std::string(FIG16_BIN) +
+                     " --benchmarks=gups --cell-timeout=0.001" + flags +
+                     " --stats-json=" + manifest);
+    EXPECT_NE(result.exitCode, 0) << result.err;
+    Json m = tps::obs::readJsonFile(manifest);
+    std::remove(manifest.c_str());
+    std::set<double> scales;
+    for (size_t c = 0; c < m.at("cells").size(); ++c) {
+        const Json &cell = m.at("cells").at(c);
+        EXPECT_EQ(cell.at("status").asString(), "timeout");
+        scales.insert(cell.at("options").at("scale").asDouble());
+    }
+    return scales;
+}
+
+TEST(CliContract, BenchDefaultScaleYieldsToTheFlag)
+{
+    // fig16 defaults to quarter scale, and an explicit --scale=1 wins.
+    EXPECT_EQ(fig16Scales(""), std::set<double>{0.25});
+    EXPECT_EQ(fig16Scales(" --scale=1"), std::set<double>{1.0});
 }
 
 TEST(CliContract, ShardPrintsOnlyOwnedCells)

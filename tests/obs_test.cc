@@ -16,6 +16,7 @@
 #include "core/tps_system.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
+#include "obs/shard.hh"
 #include "obs/stat_registry.hh"
 #include "obs/stats_bindings.hh"
 #include "obs/sweep_monitor.hh"
@@ -421,6 +422,83 @@ TEST(Manifest, HostFreeManifestIsReproducible)
 
     EXPECT_EQ(manifestJson(info, {a}).dump(2),
               manifestJson(info, {b}).dump(2));
+}
+
+TEST(Manifest, OptionsAndIdentityArePinnedAcrossBuilds)
+{
+    // Pinned strings, not a comparison of two runs of one build: a
+    // change to the run-option table that moves a key, a default or an
+    // emit rule breaks every existing manifest, resume and shard join.
+    const std::string base =
+        R"("physBytes":8589934592,"tpsThreshold":1,"smt":false,)"
+        R"("virtualized":false,"fiveLevel":false,"noMmuCache":false,)"
+        R"("tpsTlbSkewed":false,"fragmented":false,)"
+        R"("fragmenter":{"targetFreeFraction":0.3,"churnOps":120000,)"
+        R"("maxBlockOrder":10,"smallBias":1.7,"seed":24301},)"
+        R"("timing":"real","aliasMode":"pointer","encoding":"napot",)"
+        R"("maxAccesses":18446744073709551615,"epochAccesses":0,)"
+        R"("paranoid":false,"checkEvery":0,"cellTimeoutSeconds":0})";
+    const std::string defaults =
+        R"({"workload":"","design":"thp","scale":1,)" + base;
+    core::RunOptions d;
+    EXPECT_EQ(runOptionsJson(d).dump(), defaults);
+    EXPECT_EQ(cellIdentity(d), defaults + "#18322061184686922065");
+
+    // Every emitted option off its default, plus the never-emitted ones.
+    core::RunOptions o;
+    o.workload = "gcc";
+    o.design = core::Design::TpsEager;
+    o.scale = 0.5;
+    o.physBytes = 4ull << 30;
+    o.tpsThreshold = 0.75;
+    o.smt = true;
+    o.virtualized = true;
+    o.fiveLevel = true;
+    o.noMmuCache = true;
+    o.tpsTlbSkewed = true;
+    o.tpsTlbEntries = 64;
+    o.fragmented = true;
+    o.fragmenter.targetFreeFraction = 0.5;
+    o.fragmenter.churnOps = 1000;
+    o.fragmenter.maxBlockOrder = 8;
+    o.fragmenter.smallBias = 2.5;
+    o.fragmenter.seed = 7;
+    o.timing = sim::TlbTimingMode::PerfectL2;
+    o.aliasMode = vm::AliasMode::FullCopy;
+    o.encoding = vm::SizeEncoding::SizeField;
+    o.maxAccesses = 123456;
+    o.epochAccesses = 5000;
+    o.paranoid = true;
+    o.checkEvery = 777;
+    o.cellTimeoutSeconds = 2.5;
+    o.referencePath = true;
+    o.chunkAccesses = 64;
+    o.memTelemetry = true;
+    o.footprintBytes = 1ull << 30;
+    o.denseState = true;
+    const std::string head =
+        R"({"workload":"gcc","design":"tps-eager","scale":0.5,)"
+        R"("physBytes":4294967296,"tpsThreshold":0.75,"smt":true,)"
+        R"("virtualized":true,"fiveLevel":true,"noMmuCache":true,)"
+        R"("tpsTlbSkewed":true,"fragmented":true,)"
+        R"("fragmenter":{"targetFreeFraction":0.5,"churnOps":1000,)"
+        R"("maxBlockOrder":8,"smallBias":2.5,"seed":7},)"
+        R"("timing":"perfect-l2","aliasMode":"full-copy",)"
+        R"("encoding":"size-field","maxAccesses":123456,)"
+        R"("epochAccesses":5000,)";
+    const std::string tail =
+        R"("memTelemetry":true,"footprintBytes":1073741824,)"
+        R"("tpsTlbEntries":64})";
+    EXPECT_EQ(runOptionsJson(o).dump(),
+              head +
+                  R"("paranoid":true,"checkEvery":777,)"
+                  R"("cellTimeoutSeconds":2.5,)" +
+                  tail);
+    EXPECT_EQ(cellIdentity(o),
+              head +
+                  R"("paranoid":false,"checkEvery":0,)"
+                  R"("cellTimeoutSeconds":0,)" +
+                  tail + "#16483769677816164654");
 }
 
 // ------------------------------------------------------ sweep monitor

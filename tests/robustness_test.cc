@@ -344,5 +344,34 @@ TEST(Resume, MissingOrMalformedManifestLoadsNothing)
     std::remove(path.c_str());
 }
 
+TEST(Resume, RejectedByMergeLoadsNothing)
+{
+    // Hand-edited manifests that merging rejects: options without the
+    // workload name, a non-string status, a non-string bench, a shard
+    // index that is not a number.  Each is refused with a reason, not
+    // an abort, and restores nothing.
+    const std::string path = scratchPath("rejected_by_merge");
+    for (const char *doc :
+         {R"({"format": "tps-run-manifest", "bench": "x", "cells": )"
+          R"([{"options": {"design": "thp"}, "seed": 1}]})",
+          R"({"format": "tps-run-manifest", "bench": "x", "cells": )"
+          R"([{"options": {"workload": "gups", "design": "thp"}, )"
+          R"("seed": 1, "status": 1}]})",
+          R"({"format": "tps-run-manifest", "bench": 5, "cells": []})",
+          R"({"format": "tps-run-manifest", "bench": "x", "cells": [], )"
+          R"("host": {"shard": {"index": "0", "count": 2, )"
+          R"("gridFingerprint": "f", "grid": []}}})"}) {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(doc, f);
+        std::fclose(f);
+        obs::ResumeLog log;
+        EXPECT_FALSE(log.load(path)) << doc;
+        EXPECT_EQ(log.size(), 0u);
+        EXPECT_FALSE(log.error().empty()) << doc;
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace tps
