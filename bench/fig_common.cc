@@ -13,7 +13,6 @@
 #include "obs/profile.hh"
 #include "obs/resume.hh"
 #include "obs/run_manifest.hh"
-#include "obs/stats_bindings.hh"
 #include "sim/perf_model.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -494,16 +493,16 @@ runCells(const FigOptions &opts,
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!owned[i])
             continue;
-        const obs::Json *pure =
+        const obs::ResumedCell *prior =
             census ? nullptr : g_bench.resume.find(cells[i]);
-        if (pure) {
+        if (prior) {
             // A Resumed artifact carries the prior cell JSON verbatim.
             obs::CellArtifact &cell = arts[i];
             cell.options = cells[i];
-            cell.stats = obs::simStatsFromJson(pure->at("stats"));
+            cell.stats = prior->stats;
             cell.status = core::CellStatus::Resumed;
             cell.attempts = 0;
-            cell.restored = *pure;
+            cell.restored = prior->pure;
             results[i] = CellResult{cell.stats, {}};
         } else {
             to_run.push_back(cells[i]);

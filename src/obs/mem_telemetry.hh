@@ -2,7 +2,7 @@
  * @file
  * Epoch-sampled physical-memory telemetry.
  *
- * The translation-side observability (StatRegistry, epoch series,
+ * The translation-side observability (the stat tree, epoch series,
  * event traces) never sees *physical layout over time*, yet the
  * paper's fragmentation results (Figs. 15/16) hinge on exactly that.
  * MemTelemetry closes the gap: attached to an Engine it snapshots, at

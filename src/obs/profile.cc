@@ -1,7 +1,5 @@
 #include "obs/profile.hh"
 
-#include "obs/stat_registry.hh"
-
 namespace tps::obs {
 
 const char *
@@ -28,20 +26,6 @@ ProfileRegistry::merge(const ProfileRegistry &other)
     for (unsigned i = 0; i < kProfPhaseCount; ++i) {
         entries_[i].calls += other.entries_[i].calls;
         entries_[i].ns += other.entries_[i].ns;
-    }
-}
-
-void
-ProfileRegistry::registerStats(StatRegistry &reg,
-                               const std::string &prefix)
-{
-    for (unsigned i = 0; i < kProfPhaseCount; ++i) {
-        std::string name =
-            prefix + "." + profPhaseName(static_cast<ProfPhase>(i));
-        reg.addCounter(name + ".calls", &entries_[i].calls,
-                       "times the phase ran");
-        reg.addCounter(name + ".ns", &entries_[i].ns,
-                       "host nanoseconds spent in the phase");
     }
 }
 

@@ -6,8 +6,7 @@
  * collection point the engine and MMU wrap around their phases.
  *
  * Profiling is host-side and therefore non-deterministic; its numbers
- * are reported separately (--profile) and registered in the live
- * StatRegistry under "profile.*", but never enter SimStats or run
+ * are reported separately (--profile) and never enter SimStats or run
  * manifests, which stay byte-stable.
  */
 
@@ -17,13 +16,10 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "obs/json.hh"
 
 namespace tps::obs {
-
-class StatRegistry;
 
 /**
  * The simulator phases the engine/MMU time.  The engine times whole
@@ -50,8 +46,8 @@ class ProfileRegistry
   public:
     struct Entry
     {
-        uint64_t calls = 0;
-        uint64_t ns = 0;
+        uint64_t calls = 0;  //!< times the phase ran
+        uint64_t ns = 0;     //!< host nanoseconds spent in the phase
     };
 
     void
@@ -71,11 +67,6 @@ class ProfileRegistry
     /** Accumulate @p other into this (sweep-wide totals). */
     void merge(const ProfileRegistry &other);
 
-    /**
-     * Register "<prefix>.<phase>.calls" / ".ns" probes for every
-     * phase, folding self-profiling into the normal stat tree.
-     */
-    void registerStats(StatRegistry &reg, const std::string &prefix);
 
     /** {"<phase>": {"calls": n, "ns": n}, ...} for --profile output. */
     Json toJson() const;

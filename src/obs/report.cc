@@ -8,7 +8,7 @@
 #include "core/tps_system.hh"
 #include "obs/mem_telemetry.hh"
 #include "obs/shard.hh"
-#include "util/sim_error.hh"
+#include "obs/stats_bindings.hh"
 #include "util/stats.hh"
 
 namespace tps::obs {
@@ -61,30 +61,6 @@ fixed(double v, int places)
     return buf;
 }
 
-uint64_t
-counter(const Json &stats, std::initializer_list<const char *> path)
-{
-    const Json *node = &stats;
-    for (const char *key : path) {
-        node = node->find(key);
-        if (!node) {
-            throwSimError(ErrorKind::InvalidArgument,
-                          "manifest stats tree is missing '%s'", key);
-        }
-    }
-    return node->asUInt();
-}
-
-double
-mpkiOf(const Json &stats)
-{
-    uint64_t insts = counter(stats, {"engine", "instructions"});
-    uint64_t misses = counter(stats, {"engine", "l1TlbMisses"});
-    return insts == 0 ? 0.0
-                      : 1000.0 * static_cast<double>(misses) /
-                            static_cast<double>(insts);
-}
-
 /** "p50/p95/p99" over a rebuilt histogram, or "-" when empty. */
 std::string
 quantiles(const Histogram &h)
@@ -123,9 +99,10 @@ buildReport(const std::vector<Json> &manifests,
             const ReportOptions &opts)
 {
     // ---- Join through mergeManifests: identity dedup, first ok
-    // copy wins, holes attributed.  Each ok cell fills its table slot.
+    // copy wins, holes attributed.  Each ok cell's restored stats fill
+    // its table slot.
     MergeResult merged = mergeManifests(manifests, sources, true);
-    std::map<std::pair<std::string, std::string>, const Json *> cells;
+    std::map<std::pair<std::string, std::string>, sim::SimStats> cells;
     std::set<std::string> workloads;
     std::set<std::string> designSet;
     const Json &list = merged.manifest.at("cells");
@@ -137,7 +114,8 @@ buildReport(const std::vector<Json> &manifests,
         const Json *stats = cell.find("stats");
         const Json *status = cell.find("status");
         if (stats && (!status || status->asString() == "ok"))
-            cells.emplace(std::make_pair(slot.row, slot.column), stats);
+            cells.emplace(std::make_pair(slot.row, slot.column),
+                          simStatsFromJson(*stats));
     }
     for (const MergeHole &hole : merged.holes) {
         Slot slot = slotOf(hole.label);
@@ -155,9 +133,9 @@ buildReport(const std::vector<Json> &manifests,
         std::rotate(designs.begin(), base_it, base_it + 1);
 
     auto okStats = [&](const std::string &wl,
-                       const std::string &dn) -> const Json * {
+                       const std::string &dn) -> const sim::SimStats * {
         auto it = cells.find({wl, dn});
-        return it == cells.end() ? nullptr : it->second;
+        return it == cells.end() ? nullptr : &it->second;
     };
 
     Report rep;
@@ -191,32 +169,26 @@ buildReport(const std::vector<Json> &manifests,
     };
 
     for (const std::string &wl : workloads) {
-        const Json *base = okStats(wl, baseline);
+        const sim::SimStats *base = okStats(wl, baseline);
         for (const std::string &dn : designs) {
-            const Json *stats = okStats(wl, dn);
+            const sim::SimStats *stats = okStats(wl, dn);
             if (!stats)
                 continue;
-            uint64_t cycles = counter(*stats, {"engine", "cycles"});
             csvRow(csv, "summary", wl, dn, "accesses", "",
-                   std::to_string(counter(*stats,
-                                          {"engine", "accesses"})));
+                   std::to_string(stats->accesses));
             csvRow(csv, "summary", wl, dn, "instructions", "",
-                   std::to_string(
-                       counter(*stats, {"engine", "instructions"})));
+                   std::to_string(stats->instructions));
             csvRow(csv, "summary", wl, dn, "cycles", "",
-                   std::to_string(cycles));
+                   std::to_string(stats->cycles));
             csvRow(csv, "summary", wl, dn, "l1TlbMisses", "",
-                   std::to_string(
-                       counter(*stats, {"engine", "l1TlbMisses"})));
+                   std::to_string(stats->l1TlbMisses));
             csvRow(csv, "summary", wl, dn, "walks", "",
-                   std::to_string(counter(*stats, {"engine", "walks"})));
+                   std::to_string(stats->tlbMisses));
             csvRow(csv, "summary", wl, dn, "mpki", "",
-                   num(mpkiOf(*stats)));
-            if (base && cycles > 0) {
-                double speedup =
-                    static_cast<double>(
-                        counter(*base, {"engine", "cycles"})) /
-                    static_cast<double>(cycles);
+                   num(stats->mpki()));
+            if (base && stats->cycles > 0) {
+                double speedup = static_cast<double>(base->cycles) /
+                                 static_cast<double>(stats->cycles);
                 csvRow(csv, "summary", wl, dn, "speedup", "",
                        num(speedup));
             }
@@ -225,22 +197,17 @@ buildReport(const std::vector<Json> &manifests,
 
     table("MPKI (L1 DTLB misses per kilo-instruction)",
           [&](const std::string &wl, const std::string &dn) {
-              const Json *stats = okStats(wl, dn);
-              return stats ? fixed(mpkiOf(*stats), 3)
-                           : std::string("-");
+              const sim::SimStats *stats = okStats(wl, dn);
+              return stats ? fixed(stats->mpki(), 3) : std::string("-");
           });
     table(("Speedup vs " + baseline + " (cycle ratio)").c_str(),
           [&](const std::string &wl, const std::string &dn) {
-              const Json *stats = okStats(wl, dn);
-              const Json *base = okStats(wl, baseline);
-              if (!stats || !base)
+              const sim::SimStats *stats = okStats(wl, dn);
+              const sim::SimStats *base = okStats(wl, baseline);
+              if (!stats || !base || stats->cycles == 0)
                   return std::string("-");
-              uint64_t cycles = counter(*stats, {"engine", "cycles"});
-              if (cycles == 0)
-                  return std::string("-");
-              return fixed(static_cast<double>(
-                               counter(*base, {"engine", "cycles"})) /
-                               static_cast<double>(cycles),
+              return fixed(static_cast<double>(base->cycles) /
+                               static_cast<double>(stats->cycles),
                            3);
           });
 
@@ -250,14 +217,11 @@ buildReport(const std::vector<Json> &manifests,
     bool any_mem = false;
     for (const std::string &wl : workloads) {
         for (const std::string &dn : designs) {
-            const Json *stats = okStats(wl, dn);
-            if (!stats)
-                continue;
-            const Json *mem = stats->find("mem");
-            if (!mem || mem->isNull())
+            const sim::SimStats *stats = okStats(wl, dn);
+            if (!stats || !stats->mem.enabled)
                 continue;
             any_mem = true;
-            MemTelemetryData data = MemTelemetryData::fromJson(*mem);
+            const MemTelemetryData &data = stats->mem;
             for (size_t i = 0; i < data.samples.size(); ++i) {
                 const MemEpochSample &s = data.samples[i];
                 std::string idx = std::to_string(i);
@@ -324,12 +288,10 @@ buildReport(const std::vector<Json> &manifests,
               "|---|---|---:|---:|---:|---:|---:|---:|\n";
         for (const std::string &wl : workloads) {
             for (const std::string &dn : designs) {
-                const Json *stats = okStats(wl, dn);
-                const Json *mem = stats ? stats->find("mem") : nullptr;
-                if (!mem || mem->isNull())
+                const sim::SimStats *stats = okStats(wl, dn);
+                if (!stats || !stats->mem.enabled)
                     continue;
-                MemTelemetryData data =
-                    MemTelemetryData::fromJson(*mem);
+                const MemTelemetryData &data = stats->mem;
                 if (data.samples.empty())
                     continue;
                 const MemEpochSample &s = data.samples.back();
@@ -359,13 +321,10 @@ buildReport(const std::vector<Json> &manifests,
               "|---|---|---:|---:|---:|---:|---:|\n";
         for (const std::string &wl : workloads) {
             for (const std::string &dn : designs) {
-                const Json *stats = okStats(wl, dn);
-                const Json *mem = stats ? stats->find("mem") : nullptr;
-                if (!mem || mem->isNull())
+                const sim::SimStats *stats = okStats(wl, dn);
+                if (!stats || !stats->mem.enabled)
                     continue;
-                MemTelemetryData data =
-                    MemTelemetryData::fromJson(*mem);
-                const MemLifecycle &life = data.lifecycle;
+                const MemLifecycle &life = stats->mem.lifecycle;
                 md += "| " + wl + " | " + dn + " | " +
                       std::to_string(life.created) + " | " +
                       std::to_string(life.promoted) + " | " +

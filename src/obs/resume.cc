@@ -1,6 +1,7 @@
 #include "obs/resume.hh"
 
 #include "obs/shard.hh"
+#include "obs/stats_bindings.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
@@ -19,13 +20,22 @@ ResumeLog::load(const std::string &path)
     }
     const Json &cells = merged.manifest.at("cells");
     for (size_t i = 0; i < cells.size(); ++i) {
-        if (merged.cellKeys[i].ok)
-            cells_.emplace(merged.cellKeys[i].id, cells.at(i));
+        if (!merged.cellKeys[i].ok)
+            continue;
+        const Json &cell = cells.at(i);
+        try {
+            cells_.emplace(merged.cellKeys[i].id,
+                           ResumedCell{cell, cellStats(cell)});
+        } catch (const SimError &e) {
+            cells_.clear();
+            error_ = core::cellLabel(cell.at("options")) + ": " + e.what();
+            return false;
+        }
     }
     return true;
 }
 
-const Json *
+const ResumedCell *
 ResumeLog::find(const core::RunOptions &opts) const
 {
     auto it = cells_.find(identityHash(cellIdentity(opts)));

@@ -1,343 +1,56 @@
 #include "obs/stats_bindings.hh"
 
-#include "obs/stat_registry.hh"
+#include <string_view>
+
 #include "util/sim_error.hh"
 
 namespace tps::obs {
 
-void
-bindEngineStats(StatRegistry &reg, const std::string &prefix,
-                const sim::SimStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "accesses", &s->accesses,
-                   "measured primary-thread accesses");
-    reg.addCounter(p + "instructions", &s->instructions,
-                   "measured primary-thread instructions");
-    reg.addCounter(p + "cycles", &s->cycles, "total execution cycles");
-    reg.addCounter(p + "l1TlbMisses", &s->l1TlbMisses,
-                   "L1 DTLB misses (primary thread)");
-    reg.addCounter(p + "l2TlbHits", &s->l2TlbHits,
-                   "L1 misses that hit the L2 TLB");
-    reg.addCounter(p + "walks", &s->tlbMisses,
-                   "full TLB misses (page walks)");
-    reg.addCounter(p + "walkMemRefs", &s->walkMemRefs,
-                   "page-walk memory references");
-    reg.addCounter(p + "walkCycles", &s->walkCycles,
-                   "walker-active cycles");
-    reg.addCounter(p + "stlbPenaltyCycles", &s->stlbPenaltyCycles,
-                   "L1-miss/L2-hit penalty cycles");
-    reg.addCounter(p + "faults", &s->faults, "demand faults serviced");
-    reg.addCounter(p + "mmapCalls", &s->mmapCalls, "mmap syscalls");
-    reg.addCounter(p + "munmapCalls", &s->munmapCalls,
-                   "munmap syscalls");
-    reg.addCounter(p + "warmup.accesses", &s->warmup.accesses,
-                   "init-phase accesses before the stats reset");
-    reg.addCounter(p + "warmup.cycles", &s->warmup.cycles,
-                   "init-phase cycles");
-    reg.addCounter(p + "warmup.osCycles", &s->warmup.osCycles,
-                   "OS cycles charged during init");
-    reg.addCounter(p + "warmup.faults", &s->warmup.faults,
-                   "init-phase faults");
-    reg.addScalar(p + "mpki", [s] { return s->mpki(); },
-                  "L1 DTLB misses per kilo-instruction");
-    reg.addScalar(p + "walkCycleFraction",
-                  [s] { return s->walkCycleFraction(); },
-                  "fraction of cycles the walker was active");
-    reg.addScalar(p + "systemTimeFraction",
-                  [s] { return s->systemTimeFraction(); },
-                  "fraction of measured time in OS work");
-}
-
-void
-bindMmuStats(StatRegistry &reg, const std::string &prefix,
-             const sim::MmuStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "accesses", &s->accesses,
-                   "translations requested (all threads)");
-    reg.addCounter(p + "l1.hits", &s->l1Hits, "L1 TLB hits");
-    reg.addCounter(p + "l1.misses", &s->l1Misses, "L1 DTLB misses");
-    reg.addCounter(p + "l2.hits", &s->l2Hits, "L2 TLB hits");
-    reg.addCounter(p + "walks", &s->walks, "hardware page walks");
-    reg.addCounter(p + "walk.memRefs", &s->walkMemRefs,
-                   "page-walk memory references");
-    reg.addCounter(p + "walk.faultMemRefs", &s->faultWalkMemRefs,
-                   "walk references spent discovering faults");
-    reg.addCounter(p + "walk.cycles", &s->walkCycles,
-                   "latency of walk references");
-    reg.addCounter(p + "walk.nestedRefs", &s->nestedWalkRefs,
-                   "extra references of two-dimensional walks");
-    reg.addCounter(p + "stlb.penaltyCycles", &s->stlbPenaltyCycles,
-                   "L1-miss/L2-hit penalty cycles");
-    reg.addCounter(p + "faults", &s->faults, "demand faults");
-    reg.addCounter(p + "writeProtFaults", &s->writeProtFaults,
-                   "write-protection (CoW) faults");
-    reg.addCounter(p + "ad.pteWrites", &s->adPteWrites,
-                   "A/D PTE update stores");
-    reg.addCounter(p + "ad.vectorStores", &s->adVectorStores,
-                   "fine-grained A/D bit-vector stores");
-}
-
-void
-bindWalkerStats(StatRegistry &reg, const std::string &prefix,
-                const vm::WalkerStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "walks", &s->walks, "page walks performed");
-    reg.addCounter(p + "faults", &s->faults,
-                   "walks that found no translation");
-    reg.addCounter(p + "accesses", &s->accesses,
-                   "guest-dimension memory references");
-    reg.addCounter(p + "aliasExtra", &s->aliasExtra,
-                   "alias-PTE re-read references");
-    reg.addCounter(p + "nestedAccesses", &s->nestedAccesses,
-                   "nested-dimension references (virtualized)");
-    reg.addCounter(p + "nestedTlb.hits", &s->nestedTlbHits,
-                   "nested-translation cache hits");
-    reg.addCounter(p + "nestedTlb.misses", &s->nestedTlbMisses,
-                   "nested-translation cache misses");
-}
-
-void
-bindMemSysStats(StatRegistry &reg, const std::string &prefix,
-                const sim::MemSysStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "accesses", &s->accesses,
-                   "cache-hierarchy accesses");
-    reg.addCounter(p + "l1Hits", &s->l1Hits, "L1D hits");
-    reg.addCounter(p + "llcHits", &s->llcHits, "LLC hits");
-    reg.addCounter(p + "dramAccesses", &s->dramAccesses,
-                   "DRAM accesses");
-}
-
-void
-bindTlbStats(StatRegistry &reg, const std::string &prefix,
-             const tlb::TlbHierarchyStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "accesses", &s->accesses, "hierarchy lookups");
-    reg.addCounter(p + "l1Hits", &s->l1Hits, "L1 hits");
-    reg.addCounter(p + "l1Misses", &s->l1Misses, "L1 misses");
-    reg.addCounter(p + "l2Hits", &s->l2Hits,
-                   "STLB or range-TLB hits");
-    reg.addCounter(p + "rangeHits", &s->rangeHits,
-                   "range-TLB subset of L2 hits");
-    reg.addCounter(p + "misses", &s->misses,
-                   "full misses (walk required)");
-}
-
-void
-bindOsWork(StatRegistry &reg, const std::string &prefix,
-           const os::OsWork *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "faultCycles", &s->faultCycles,
-                   "fault-entry cycles");
-    reg.addCounter(p + "allocCycles", &s->allocCycles,
-                   "allocator cycles");
-    reg.addCounter(p + "pteCycles", &s->pteCycles,
-                   "PTE update cycles");
-    reg.addCounter(p + "zeroCycles", &s->zeroCycles,
-                   "page-zeroing cycles");
-    reg.addCounter(p + "shootdownCycles", &s->shootdownCycles,
-                   "TLB shootdown cycles");
-    reg.addCounter(p + "totalCycles", [s] { return s->totalCycles(); },
-                   "all OS cycles");
-    reg.addCounter(p + "faults", &s->faults, "faults handled");
-    reg.addCounter(p + "promotions", &s->promotions,
-                   "page promotions");
-    reg.addCounter(p + "reservationsCreated", &s->reservationsCreated,
-                   "reservations created");
-    reg.addCounter(p + "reservationsMissed", &s->reservationsMissed,
-                   "reservations degraded to smaller blocks");
-}
-
-void
-bindBuddyStats(StatRegistry &reg, const std::string &prefix,
-               const os::BuddyStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "allocs", &s->allocs, "block allocations");
-    reg.addCounter(p + "frees", &s->frees, "block frees");
-    reg.addCounter(p + "splits", &s->splits,
-                   "blocks split to satisfy allocations");
-    reg.addCounter(p + "merges", &s->merges,
-                   "buddy pairs merged on free");
-    reg.addCounter(p + "failedAllocs", &s->failedAllocs,
-                   "allocations that found no block");
-}
-
-void
-bindCompactionStats(StatRegistry &reg, const std::string &prefix,
-                    const os::CompactionStats *s)
-{
-    const std::string p = prefix + ".";
-    reg.addCounter(p + "migratedBlocks", &s->migratedBlocks,
-                   "physical blocks migrated");
-    reg.addCounter(p + "migratedFrames", &s->migratedFrames,
-                   "frames copied during migration");
-    reg.addCounter(p + "mergedPages", &s->mergedPages,
-                   "reservation pairs merged into larger pages");
-}
-
-void
-bindSimStats(StatRegistry &reg, const sim::SimStats *s)
-{
-    bindEngineStats(reg, "engine", s);
-    bindMmuStats(reg, "mmu", &s->mmu);
-    bindWalkerStats(reg, "mmu.walker", &s->walker);
-    bindMemSysStats(reg, "memsys", &s->memsys);
-    bindOsWork(reg, "os.work", &s->osWork);
-    bindBuddyStats(reg, "os.buddy", &s->buddy);
-    bindCompactionStats(reg, "os.compaction", &s->compaction);
-}
-
 namespace {
 
-/** The counter at @p path below @p j; throws when absent. */
-uint64_t
-counterAt(const Json &j, std::initializer_list<const char *> path)
+/** The member of @p root at dotted @p path, creating objects on the way. */
+Json &
+leafAt(Json &root, std::string_view path)
 {
-    const Json *node = &j;
-    for (const char *key : path) {
-        node = node->find(key);
-        if (!node) {
-            throwSimError(ErrorKind::InvalidArgument,
-                          "stats tree is missing counter '%s'", key);
-        }
+    Json *node = &root;
+    for (size_t dot; (dot = path.find('.')) != std::string_view::npos;
+         path.remove_prefix(dot + 1)) {
+        node = &(*node)[std::string(path.substr(0, dot))];
     }
-    return node->asUInt();
+    return (*node)[std::string(path)];
 }
 
 /**
- * The counter at @p path below @p j, or 0 when absent -- for counters
- * added after manifest v2 shipped, so a pre-existing partial manifest
- * still resumes.
+ * The counter at dotted @p path below @p j.  An absent one is 0 for an
+ * Or0 row and a SimError otherwise.
  */
 uint64_t
-counterOr0(const Json &j, std::initializer_list<const char *> path)
+counterAt(const Json &j, const char *path, sim::StatRestore restore)
 {
     const Json *node = &j;
-    for (const char *key : path) {
-        node = node->find(key);
-        if (!node)
+    for (std::string_view rest = path; node;) {
+        size_t dot = rest.find('.');
+        node = node->find(std::string(rest.substr(0, dot)));
+        if (dot == std::string_view::npos)
+            break;
+        rest.remove_prefix(dot + 1);
+    }
+    if (!node) {
+        if (restore == sim::StatRestore::Or0)
             return 0;
+        throwSimError(ErrorKind::InvalidArgument,
+                      "stats tree is missing counter '%s'", path);
+    }
+    if (node->kind() != Json::Kind::UInt &&
+        !(node->kind() == Json::Kind::Int && node->asInt() >= 0)) {
+        throwSimError(ErrorKind::InvalidArgument,
+                      "stats counter '%s' is not an unsigned integer",
+                      path);
     }
     return node->asUInt();
 }
 
 } // namespace
-
-sim::SimStats
-simStatsFromJson(const Json &j)
-{
-    sim::SimStats s;
-
-    s.accesses = counterAt(j, {"engine", "accesses"});
-    s.instructions = counterAt(j, {"engine", "instructions"});
-    s.cycles = counterAt(j, {"engine", "cycles"});
-    s.l1TlbMisses = counterAt(j, {"engine", "l1TlbMisses"});
-    s.l2TlbHits = counterAt(j, {"engine", "l2TlbHits"});
-    s.tlbMisses = counterAt(j, {"engine", "walks"});
-    s.walkMemRefs = counterAt(j, {"engine", "walkMemRefs"});
-    s.walkCycles = counterAt(j, {"engine", "walkCycles"});
-    s.stlbPenaltyCycles = counterAt(j, {"engine", "stlbPenaltyCycles"});
-    s.faults = counterAt(j, {"engine", "faults"});
-    s.mmapCalls = counterAt(j, {"engine", "mmapCalls"});
-    s.munmapCalls = counterAt(j, {"engine", "munmapCalls"});
-    s.warmup.accesses = counterAt(j, {"engine", "warmup", "accesses"});
-    s.warmup.cycles = counterAt(j, {"engine", "warmup", "cycles"});
-    s.warmup.osCycles = counterAt(j, {"engine", "warmup", "osCycles"});
-    s.warmup.faults = counterAt(j, {"engine", "warmup", "faults"});
-
-    s.mmu.accesses = counterAt(j, {"mmu", "accesses"});
-    s.mmu.l1Hits = counterAt(j, {"mmu", "l1", "hits"});
-    s.mmu.l1Misses = counterAt(j, {"mmu", "l1", "misses"});
-    s.mmu.l2Hits = counterAt(j, {"mmu", "l2", "hits"});
-    s.mmu.walks = counterAt(j, {"mmu", "walks"});
-    s.mmu.walkMemRefs = counterAt(j, {"mmu", "walk", "memRefs"});
-    s.mmu.faultWalkMemRefs =
-        counterAt(j, {"mmu", "walk", "faultMemRefs"});
-    s.mmu.walkCycles = counterAt(j, {"mmu", "walk", "cycles"});
-    s.mmu.nestedWalkRefs = counterAt(j, {"mmu", "walk", "nestedRefs"});
-    s.mmu.stlbPenaltyCycles =
-        counterAt(j, {"mmu", "stlb", "penaltyCycles"});
-    s.mmu.faults = counterAt(j, {"mmu", "faults"});
-    s.mmu.writeProtFaults = counterAt(j, {"mmu", "writeProtFaults"});
-    s.mmu.adPteWrites = counterAt(j, {"mmu", "ad", "pteWrites"});
-    s.mmu.adVectorStores = counterAt(j, {"mmu", "ad", "vectorStores"});
-
-    s.walker.walks = counterAt(j, {"mmu", "walker", "walks"});
-    s.walker.faults = counterAt(j, {"mmu", "walker", "faults"});
-    s.walker.accesses = counterAt(j, {"mmu", "walker", "accesses"});
-    s.walker.aliasExtra = counterAt(j, {"mmu", "walker", "aliasExtra"});
-    s.walker.nestedAccesses =
-        counterAt(j, {"mmu", "walker", "nestedAccesses"});
-    s.walker.nestedTlbHits =
-        counterAt(j, {"mmu", "walker", "nestedTlb", "hits"});
-    s.walker.nestedTlbMisses =
-        counterAt(j, {"mmu", "walker", "nestedTlb", "misses"});
-
-    s.memsys.accesses = counterAt(j, {"memsys", "accesses"});
-    s.memsys.l1Hits = counterAt(j, {"memsys", "l1Hits"});
-    s.memsys.llcHits = counterAt(j, {"memsys", "llcHits"});
-    s.memsys.dramAccesses = counterAt(j, {"memsys", "dramAccesses"});
-
-    s.osWork.faultCycles = counterAt(j, {"os", "work", "faultCycles"});
-    s.osWork.allocCycles = counterAt(j, {"os", "work", "allocCycles"});
-    s.osWork.pteCycles = counterAt(j, {"os", "work", "pteCycles"});
-    s.osWork.zeroCycles = counterAt(j, {"os", "work", "zeroCycles"});
-    s.osWork.shootdownCycles =
-        counterAt(j, {"os", "work", "shootdownCycles"});
-    s.osWork.faults = counterAt(j, {"os", "work", "faults"});
-    s.osWork.promotions = counterAt(j, {"os", "work", "promotions"});
-    s.osWork.reservationsCreated =
-        counterAt(j, {"os", "work", "reservationsCreated"});
-    s.osWork.reservationsMissed =
-        counterAt(j, {"os", "work", "reservationsMissed"});
-
-    // Added after manifest v2 first shipped: absent from older
-    // manifests, so default to 0 instead of rejecting the resume.
-    s.buddy.allocs = counterOr0(j, {"os", "buddy", "allocs"});
-    s.buddy.frees = counterOr0(j, {"os", "buddy", "frees"});
-    s.buddy.splits = counterOr0(j, {"os", "buddy", "splits"});
-    s.buddy.merges = counterOr0(j, {"os", "buddy", "merges"});
-    s.buddy.failedAllocs =
-        counterOr0(j, {"os", "buddy", "failedAllocs"});
-    s.compaction.migratedBlocks =
-        counterOr0(j, {"os", "compaction", "migratedBlocks"});
-    s.compaction.migratedFrames =
-        counterOr0(j, {"os", "compaction", "migratedFrames"});
-    s.compaction.mergedPages =
-        counterOr0(j, {"os", "compaction", "mergedPages"});
-
-    if (const Json *epochs = j.find("epochs");
-        epochs && !epochs->isNull()) {
-        s.epochInterval = counterAt(*epochs, {"interval"});
-        const Json *samples = epochs->find("samples");
-        for (size_t i = 0; samples && i < samples->size(); ++i) {
-            const Json &rec = samples->at(i);
-            sim::EpochSample e;
-            e.accesses = counterAt(rec, {"accesses"});
-            e.instructions = counterAt(rec, {"instructions"});
-            e.cycles = counterAt(rec, {"cycles"});
-            e.l1TlbMisses = counterAt(rec, {"l1TlbMisses"});
-            e.l2TlbHits = counterAt(rec, {"l2TlbHits"});
-            e.walks = counterAt(rec, {"walks"});
-            e.walkMemRefs = counterAt(rec, {"walkMemRefs"});
-            e.walkCycles = counterAt(rec, {"walkCycles"});
-            e.faults = counterAt(rec, {"faults"});
-            e.osCycles = counterAt(rec, {"osCycles"});
-            s.epochs.push_back(e);
-        }
-    }
-
-    if (const Json *mem = j.find("mem"); mem && !mem->isNull())
-        s.mem = MemTelemetryData::fromJson(*mem);
-    return s;
-}
 
 Json
 epochsJson(const sim::SimStats &s)
@@ -347,16 +60,9 @@ epochsJson(const sim::SimStats &s)
     Json series = Json::array();
     for (const sim::EpochSample &e : s.epochs) {
         Json rec = Json::object();
-        rec["accesses"] = Json(e.accesses);
-        rec["instructions"] = Json(e.instructions);
-        rec["cycles"] = Json(e.cycles);
-        rec["l1TlbMisses"] = Json(e.l1TlbMisses);
-        rec["l2TlbHits"] = Json(e.l2TlbHits);
-        rec["walks"] = Json(e.walks);
-        rec["walkMemRefs"] = Json(e.walkMemRefs);
-        rec["walkCycles"] = Json(e.walkCycles);
-        rec["faults"] = Json(e.faults);
-        rec["osCycles"] = Json(e.osCycles);
+        sim::forEachEpochStat(
+            [&](const char *key, uint64_t value) { rec[key] = Json(value); },
+            e);
         rec["mpki"] = Json(e.mpki());
         rec["walkCycleFraction"] = Json(e.walkCycleFraction());
         series.push(std::move(rec));
@@ -367,4 +73,70 @@ epochsJson(const sim::SimStats &s)
     return j;
 }
 
+sim::SimStats
+simStatsFromJson(const Json &j)
+{
+    sim::SimStats s;
+    sim::forEachSimStat(s, [&](const char *path, auto &&value,
+                               sim::StatRestore restore) {
+        if (restore != sim::StatRestore::Derived)
+            value = counterAt(j, path, restore);
+    });
+
+    if (const Json *epochs = j.find("epochs");
+        epochs && !epochs->isNull()) {
+        s.epochInterval =
+            counterAt(*epochs, "interval", sim::StatRestore::Required);
+        const Json *samples = epochs->find("samples");
+        if (samples && samples->kind() != Json::Kind::Array) {
+            throwSimError(ErrorKind::InvalidArgument,
+                          "stats epoch samples are not an array");
+        }
+        for (size_t i = 0; samples && i < samples->size(); ++i) {
+            sim::EpochSample e;
+            sim::forEachEpochStat(
+                [&](const char *key, uint64_t &field) {
+                    field = counterAt(samples->at(i), key,
+                                      sim::StatRestore::Required);
+                },
+                e);
+            s.epochs.push_back(e);
+        }
+    }
+
+    if (const Json *mem = j.find("mem"); mem && !mem->isNull())
+        s.mem = MemTelemetryData::fromJson(*mem);
+    return s;
+}
+
+sim::SimStats
+cellStats(const Json &cell)
+{
+    const Json *stats = cell.find("stats");
+    if (!stats) {
+        throwSimError(ErrorKind::InvalidArgument,
+                      "cell has no stats tree");
+    }
+    return simStatsFromJson(*stats);
+}
+
 } // namespace tps::obs
+
+namespace tps::sim {
+
+obs::Json
+SimStats::toJson() const
+{
+    obs::Json j = obs::Json::object();
+    forEachSimStat(*this, [&](const char *path, const auto &value,
+                              StatRestore) {
+        obs::leafAt(j, path) = obs::Json(value);
+    });
+    if (epochInterval)
+        j["epochs"] = obs::epochsJson(*this);
+    if (mem.enabled)
+        j["mem"] = mem.toJson();
+    return j;
+}
+
+} // namespace tps::sim

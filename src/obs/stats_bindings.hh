@@ -1,67 +1,20 @@
 /**
  * @file
- * The one place stat names are defined: binding helpers that register a
- * stats struct's fields into a StatRegistry under a dotted prefix.
- *
- * Both registration paths go through these functions -- the live path
- * (each module's registerStats() binds probes onto its own counters)
- * and the snapshot path (bindSimStats() binds a returned SimStats for
- * export) -- so a name can never mean different fields in the two
- * views, and registry-backed totals are bit-identical to the legacy
- * struct fields by construction.
+ * The visits of the stat table: SimStats::toJson() writes the tree
+ * from sim::forEachSimStat() and sim::forEachEpochStat() (defined in
+ * stats_bindings.cc), and simStatsFromJson() reads it back through the
+ * same rows.  A counter's manifest path is spelled only in those two
+ * tables (sim/engine.hh); report, analyze and resume read a cell's
+ * stats through simStatsFromJson().
  */
 
 #ifndef TPS_OBS_STATS_BINDINGS_HH
 #define TPS_OBS_STATS_BINDINGS_HH
 
-#include <string>
-
 #include "obs/json.hh"
 #include "sim/engine.hh"
 
 namespace tps::obs {
-
-class StatRegistry;
-
-/** Engine-level counters (primary thread, warmup, derived rates). */
-void bindEngineStats(StatRegistry &reg, const std::string &prefix,
-                     const sim::SimStats *s);
-
-/** MMU front-end counters. */
-void bindMmuStats(StatRegistry &reg, const std::string &prefix,
-                  const sim::MmuStats *s);
-
-/** Hardware page-walker counters. */
-void bindWalkerStats(StatRegistry &reg, const std::string &prefix,
-                     const vm::WalkerStats *s);
-
-/** Cache/DRAM latency-model counters. */
-void bindMemSysStats(StatRegistry &reg, const std::string &prefix,
-                     const sim::MemSysStats *s);
-
-/** TLB-hierarchy counters. */
-void bindTlbStats(StatRegistry &reg, const std::string &prefix,
-                  const tlb::TlbHierarchyStats *s);
-
-/** OS work-accounting counters. */
-void bindOsWork(StatRegistry &reg, const std::string &prefix,
-                const os::OsWork *s);
-
-/** Buddy-allocator operation counters. */
-void bindBuddyStats(StatRegistry &reg, const std::string &prefix,
-                    const os::BuddyStats *s);
-
-/** Compaction/merge-pass counters. */
-void bindCompactionStats(StatRegistry &reg, const std::string &prefix,
-                         const os::CompactionStats *s);
-
-/**
- * Bind a whole SimStats snapshot: engine.*, mmu.* (including
- * mmu.walker.*), memsys.*, os.work.*, os.buddy.* and os.compaction.*
- * -- the same names the live modules register, minus live-only
- * structures (mmu.tlb.*, cycle.*).
- */
-void bindSimStats(StatRegistry &reg, const sim::SimStats *s);
 
 /**
  * The per-epoch time series of @p s as JSON: interval plus one record
@@ -72,13 +25,22 @@ Json epochsJson(const sim::SimStats &s);
 
 /**
  * Rebuild a SimStats from the tree SimStats::toJson() produced (the
- * "stats" section of a run-manifest cell).  The inverse of the snapshot
- * binding for every stored counter; derived scalars are recomputed by
- * SimStats itself.  Used by --resume to restore completed cells without
- * re-running them.
- * @throws SimError{InvalidArgument} when a counter is missing.
+ * "stats" section of a run-manifest cell): every stored row of the
+ * stat table, the epoch series and the memory telemetry.  Derived
+ * values are recomputed by SimStats itself.  Used by --resume to
+ * restore completed cells without re-running them, and by the offline
+ * report and analyze tools.
+ * @throws SimError{InvalidArgument} when a Required counter is missing
+ * or a counter is not an unsigned integer.
  */
 sim::SimStats simStatsFromJson(const Json &j);
+
+/**
+ * simStatsFromJson() of a run-manifest cell's "stats" tree.
+ * @throws SimError{InvalidArgument} when the cell has none, or as
+ * simStatsFromJson() does.
+ */
+sim::SimStats cellStats(const Json &cell);
 
 } // namespace tps::obs
 

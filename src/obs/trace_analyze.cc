@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/tps_system.hh"
+#include "obs/stats_bindings.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
@@ -178,11 +179,7 @@ std::vector<ResidualRow>
 residualMisses(const CellAnalysis &a, const Json *manifestCell)
 {
     if (manifestCell) {
-        uint64_t counted = manifestCell->at("stats")
-                               .at("mmu")
-                               .at("l1")
-                               .at("misses")
-                               .asUInt();
+        uint64_t counted = cellStats(*manifestCell).mmu.l1Misses;
         if (counted != a.tlbMisses) {
             throwSimError(
                 ErrorKind::CorruptState,

@@ -137,9 +137,10 @@ struct ResidualRow
 /**
  * The residual-miss table for one analyzed cell: per-page-size rows,
  * descending by miss count.  When @p manifestCell is non-null its
- * "stats.mmu.l1.misses" counter is cross-checked against the trace
+ * restored SimStats::mmu.l1Misses is cross-checked against the trace
  * (throws SimError{CorruptState} on mismatch -- a trace that doesn't
- * reconcile with its manifest is a bug, not a report).
+ * reconcile with its manifest is a bug, not a report -- and
+ * SimError{InvalidArgument} when the cell's stats do not restore).
  */
 std::vector<ResidualRow> residualMisses(const CellAnalysis &a,
                                         const Json *manifestCell);

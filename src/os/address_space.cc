@@ -1,8 +1,6 @@
 #include "os/address_space.hh"
 
 #include "obs/event_trace.hh"
-#include "obs/stat_registry.hh"
-#include "obs/stats_bindings.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/sim_error.hh"
@@ -159,20 +157,6 @@ AddressSpace::mappedBytes() const
             bytes += 1ull << leaf.pageBits;
         });
     return bytes;
-}
-
-void
-AddressSpace::registerStats(obs::StatRegistry &reg,
-                            const std::string &prefix)
-{
-    obs::bindOsWork(reg, prefix + ".work", &osWork_);
-    obs::bindBuddyStats(reg, prefix + ".buddy",
-                        &phys_.buddy().stats());
-    obs::bindCompactionStats(reg, prefix + ".compaction",
-                             &compaction_);
-    reg.addCounter(prefix + ".touchedBasePages", &touchedBasePages_,
-                   "base pages demand-touched");
-    policy_->registerStats(reg, prefix + ".policy");
 }
 
 } // namespace tps::os

@@ -28,7 +28,6 @@
 namespace tps::obs {
 class EventTrace;
 class MemTelemetry;
-class StatRegistry;
 } // namespace tps::obs
 
 namespace tps::os {
@@ -157,12 +156,6 @@ class AddressSpace
     /** All VMAs, keyed by start (inspection). */
     const std::map<vm::Vaddr, Vma> &vmas() const { return vmas_; }
 
-    /**
-     * Register OS-side counters (OsWork under "<prefix>.work" plus any
-     * policy-specific stats under "<prefix>.policy") under @p prefix.
-     */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
     /**
      * Attach an event trace.  OS events (map/unmap/fault/reservation/

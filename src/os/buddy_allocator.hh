@@ -54,9 +54,9 @@ struct BuddyStats
 {
     uint64_t allocs = 0;
     uint64_t frees = 0;
-    uint64_t splits = 0;
-    uint64_t merges = 0;
-    uint64_t failedAllocs = 0;
+    uint64_t splits = 0;        //!< blocks split to satisfy allocations
+    uint64_t merges = 0;        //!< buddy pairs merged on free
+    uint64_t failedAllocs = 0;  //!< allocations that found no block
 };
 
 /** The buddy allocator. */

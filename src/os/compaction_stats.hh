@@ -15,9 +15,9 @@ namespace tps::os {
 /** Compaction results. */
 struct CompactionStats
 {
-    uint64_t migratedBlocks = 0;
-    uint64_t migratedFrames = 0;
-    uint64_t mergedPages = 0;
+    uint64_t migratedBlocks = 0;  //!< physical blocks migrated
+    uint64_t migratedFrames = 0;  //!< frames copied during migration
+    uint64_t mergedPages = 0;     //!< reservation pairs merged upward
 };
 
 } // namespace tps::os

@@ -19,13 +19,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "vm/addr.hh"
-
-namespace tps::obs {
-class StatRegistry;
-} // namespace tps::obs
 
 namespace tps::os {
 
@@ -46,13 +41,13 @@ constexpr uint64_t kShootdown = 200;      //!< one INVLPG + bookkeeping
 /** Ledger of simulated OS work in cycles, by category. */
 struct OsWork
 {
-    uint64_t faultCycles = 0;
-    uint64_t allocCycles = 0;
-    uint64_t pteCycles = 0;
-    uint64_t zeroCycles = 0;
-    uint64_t shootdownCycles = 0;
-    uint64_t faults = 0;
-    uint64_t promotions = 0;
+    uint64_t faultCycles = 0;      //!< fault-entry cycles
+    uint64_t allocCycles = 0;      //!< allocator cycles
+    uint64_t pteCycles = 0;        //!< PTE update cycles
+    uint64_t zeroCycles = 0;       //!< page-zeroing cycles
+    uint64_t shootdownCycles = 0;  //!< TLB shootdown cycles
+    uint64_t faults = 0;           //!< faults handled
+    uint64_t promotions = 0;       //!< page promotions
     uint64_t reservationsCreated = 0;
     uint64_t reservationsMissed = 0;  //!< fell back to smaller blocks
 
@@ -111,14 +106,6 @@ class PagingPolicy
     {
         (void)length;
         return vm::kBasePageBits;
-    }
-
-    /** Register policy-specific live counters under @p prefix. */
-    virtual void
-    registerStats(obs::StatRegistry &reg, const std::string &prefix) const
-    {
-        (void)reg;
-        (void)prefix;
     }
 };
 

@@ -1,6 +1,5 @@
 #include "os/policy_rmm.hh"
 
-#include "obs/stat_registry.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/sim_error.hh"
@@ -182,15 +181,6 @@ RmmPolicy::onMunmap(AddressSpace &as, const Vma &vma)
         }
         runs_.erase(rit);
     }
-}
-
-void
-RmmPolicy::registerStats(obs::StatRegistry &reg,
-                         const std::string &prefix) const
-{
-    reg.addCounter(prefix + ".ranges",
-                   [this] { return uint64_t(ranges_.size()); },
-                   "OS range-table entries");
 }
 
 } // namespace tps::os

@@ -35,8 +35,6 @@ class RmmPolicy : public PagingPolicy
     void onMunmap(AddressSpace &as, const Vma &vma) override;
     bool onFault(AddressSpace &as, vm::Vaddr va, bool write) override;
     std::optional<OsRange> rangeFor(vm::Vaddr va) const override;
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix) const override;
 
     /** Number of ranges in the OS range table. */
     size_t rangeCount() const { return ranges_.size(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stat_registry.hh"
 #include "util/logging.hh"
 
 namespace tps::sim {
@@ -34,15 +33,6 @@ CycleModel::reset()
     lastCompletion_ = 0;
     std::fill(inflightRing_.begin(), inflightRing_.end(), 0);
     std::fill(robRing_.begin(), robRing_.end(), 0);
-}
-
-void
-CycleModel::registerStats(obs::StatRegistry &reg, const std::string &prefix)
-{
-    reg.addCounter(prefix + ".cycles", [this] { return cycles(); },
-                   "total execution cycles");
-    reg.addCounter(prefix + ".instructions", &instructions_,
-                   "instructions retired");
 }
 
 } // namespace tps::sim

@@ -22,12 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-namespace tps::obs {
-class StatRegistry;
-} // namespace tps::obs
 
 namespace tps::sim {
 
@@ -88,9 +83,6 @@ class CycleModel
     /** Reset to an empty pipeline. */
     void reset();
 
-    /** Register cycles/instructions probes under @p prefix. */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
   private:
     CycleModelConfig cfg_;

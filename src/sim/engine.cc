@@ -7,35 +7,11 @@
 #include "check/invariant_checker.hh"
 #include "obs/event_trace.hh"
 #include "obs/profile.hh"
-#include "obs/stat_registry.hh"
-#include "obs/stats_bindings.hh"
 #include "util/logging.hh"
 #include "util/sim_error.hh"
 #include "util/stats.hh"
 
 namespace tps::sim {
-
-namespace {
-
-/**
- * Cumulative counter values at the last epoch boundary; the epoch
- * snapshot pushes the deltas since then.  Reads only, so sampling never
- * perturbs the simulation.
- */
-struct EpochPrev
-{
-    uint64_t accesses = 0;
-    uint64_t l1TlbMisses = 0;
-    uint64_t l2TlbHits = 0;
-    uint64_t walks = 0;
-    uint64_t walkMemRefs = 0;
-    uint64_t walkCycles = 0;
-    uint64_t faults = 0;
-    uint64_t cycles = 0;
-    uint64_t osCycles = 0;
-};
-
-} // namespace
 
 double
 EpochSample::mpki() const
@@ -98,19 +74,6 @@ SimStats::fullRunSystemTimeFraction() const
                             static_cast<double>(total);
 }
 
-obs::Json
-SimStats::toJson() const
-{
-    obs::StatRegistry reg;
-    obs::bindSimStats(reg, this);
-    obs::Json j = reg.toJson();
-    if (epochInterval)
-        j["epochs"] = obs::epochsJson(*this);
-    if (mem.enabled)
-        j["mem"] = mem.toJson();
-    return j;
-}
-
 Engine::Engine(os::PhysMemory &pm,
                std::unique_ptr<os::PagingPolicy> policy, EngineConfig cfg)
     : cfg_(cfg), memsys_(cfg.memsys),
@@ -161,16 +124,6 @@ Engine::setMemTelemetry(obs::MemTelemetry *tel)
 {
     memTel_ = tel;
     as_->setMemTelemetry(tel);
-}
-
-void
-Engine::registerStats(obs::StatRegistry &reg)
-{
-    obs::bindEngineStats(reg, "engine", &stats_);
-    mmu_->registerStats(reg, "mmu");
-    memsys_.registerStats(reg, "memsys");
-    cycle_.registerStats(reg, "cycle");
-    as_->registerStats(reg, "os");
 }
 
 namespace {
@@ -290,8 +243,7 @@ Engine::run()
             w->setup(*this);
     }
 
-    stats_ = SimStats{};
-    SimStats &stats = stats_;
+    SimStats stats;
     stats.epochInterval = cfg_.epochAccesses;
     workloads::Workload &primary = *workloads_[0];
     unsigned primary_ipa = primary.info().instsPerAccess;
@@ -304,27 +256,27 @@ Engine::run()
     bool in_warmup = warmup_target > 0;
 
     // Epoch sampling: take_epoch() pushes the deltas since the last
-    // boundary.
-    EpochPrev eprev;
+    // boundary, where eprev holds the cumulative counters.  Reads
+    // only, so sampling never perturbs the simulation.
+    EpochSample eprev;
     auto take_epoch = [&]() {
-        uint64_t walk_refs = mmu_->stats().walkMemRefs;
-        uint64_t os_cycles = as_->osWork().totalCycles();
+        EpochSample now;
+        now.accesses = primary_accesses;
+        now.instructions = primary_accesses * (primary_ipa + 1);
+        now.cycles = cycle_.cycles();
+        now.l1TlbMisses = stats.l1TlbMisses;
+        now.l2TlbHits = stats.l2TlbHits;
+        now.walks = stats.tlbMisses;
+        now.walkMemRefs = mmu_->stats().walkMemRefs;
+        now.walkCycles = stats.walkCycles;
+        now.faults = stats.faults;
+        now.osCycles = as_->osWork().totalCycles();
         EpochSample e;
-        e.accesses = primary_accesses - eprev.accesses;
-        e.instructions = e.accesses * (primary_ipa + 1);
-        e.cycles = cycle_.cycles() - eprev.cycles;
-        e.l1TlbMisses = stats.l1TlbMisses - eprev.l1TlbMisses;
-        e.l2TlbHits = stats.l2TlbHits - eprev.l2TlbHits;
-        e.walks = stats.tlbMisses - eprev.walks;
-        e.walkMemRefs = walk_refs - eprev.walkMemRefs;
-        e.walkCycles = stats.walkCycles - eprev.walkCycles;
-        e.faults = stats.faults - eprev.faults;
-        e.osCycles = os_cycles - eprev.osCycles;
+        forEachEpochStat([](const char *, uint64_t &delta, uint64_t cur,
+                            uint64_t prev) { delta = cur - prev; },
+                         e, now, eprev);
         stats.epochs.push_back(e);
-        eprev = EpochPrev{primary_accesses, stats.l1TlbMisses,
-                          stats.l2TlbHits, stats.tlbMisses, walk_refs,
-                          stats.walkCycles, stats.faults,
-                          cycle_.cycles(), os_cycles};
+        eprev = now;
         // Physical-memory telemetry rides the same boundary ordinals.
         if (memTel_)
             memTel_->sample(*as_, primary_accesses);
@@ -438,7 +390,7 @@ Engine::run()
                     trace_->mark(obs::kMarkWarmupEnd);
                 // Epoch deltas restart at the measured phase; osWork
                 // is not reset, so carry its baseline.
-                eprev = EpochPrev{};
+                eprev = EpochSample{};
                 eprev.osCycles = stats.warmup.osCycles;
                 // Baseline telemetry sample at the seam.
                 if (memTel_)

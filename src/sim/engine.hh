@@ -27,7 +27,6 @@
 namespace tps::obs {
 class EventTrace;
 class ProfileRegistry;
-class StatRegistry;
 } // namespace tps::obs
 
 namespace tps::sim {
@@ -116,13 +115,35 @@ struct EpochSample
     double walkCycleFraction() const;
 };
 
+/**
+ * The epoch-sample counters in record order: @p v gets each record key
+ * and that field of every one of @p e.  obs::epochsJson(), the epoch
+ * restore in obs::simStatsFromJson() and the engine's epoch deltas
+ * visit it.
+ */
+template <typename Visit, typename... E>
+void
+forEachEpochStat(Visit &&v, E &...e)
+{
+    v("accesses", e.accesses...);
+    v("instructions", e.instructions...);
+    v("cycles", e.cycles...);
+    v("l1TlbMisses", e.l1TlbMisses...);
+    v("l2TlbHits", e.l2TlbHits...);
+    v("walks", e.walks...);
+    v("walkMemRefs", e.walkMemRefs...);
+    v("walkCycles", e.walkCycles...);
+    v("faults", e.faults...);
+    v("osCycles", e.osCycles...);
+}
+
 /** Warmup (initialization-phase) accounting. */
 struct WarmupStats
 {
     uint64_t accesses = 0;   //!< init accesses before stats were cleared
     uint64_t cycles = 0;     //!< cycles spent in the init phase
     uint64_t osCycles = 0;   //!< OS work charged during init
-    uint64_t faults = 0;
+    uint64_t faults = 0;     //!< init-phase faults
 };
 
 /** Everything a run produces (measured phase, post-warmup). */
@@ -131,16 +152,16 @@ struct SimStats
     WarmupStats warmup;
 
     // Primary-thread (thread 0) figures.
-    uint64_t accesses = 0;
-    uint64_t instructions = 0;
+    uint64_t accesses = 0;           //!< measured accesses
+    uint64_t instructions = 0;       //!< measured instructions
     uint64_t cycles = 0;             //!< total execution cycles
     uint64_t l1TlbMisses = 0;        //!< paper: L1 DTLB misses
-    uint64_t l2TlbHits = 0;
+    uint64_t l2TlbHits = 0;          //!< L1 misses that hit the L2 TLB
     uint64_t tlbMisses = 0;          //!< full misses (walks)
     uint64_t walkMemRefs = 0;        //!< page-walk memory references
     uint64_t walkCycles = 0;         //!< PWC: walker-active cycles
     uint64_t stlbPenaltyCycles = 0;  //!< L1-miss/L2-hit active cycles
-    uint64_t faults = 0;
+    uint64_t faults = 0;             //!< demand faults serviced
 
     // Whole-machine sub-module stats.
     MmuStats mmu;
@@ -149,8 +170,8 @@ struct SimStats
     os::OsWork osWork;
     os::BuddyStats buddy;
     os::CompactionStats compaction;
-    uint64_t mmapCalls = 0;
-    uint64_t munmapCalls = 0;
+    uint64_t mmapCalls = 0;          //!< mmap syscalls
+    uint64_t munmapCalls = 0;        //!< munmap syscalls
 
     // Epoch time series (empty unless EngineConfig::epochAccesses > 0).
     uint64_t epochInterval = 0;
@@ -179,12 +200,98 @@ struct SimStats
     double fullRunSystemTimeFraction() const;
 
     /**
-     * The complete stat tree (engine.*, mmu.*, memsys.*, os.work.*)
-     * plus the epoch series as JSON, built on a StatRegistry so names
-     * and values match the live module registrations exactly.
+     * The stat tree: every forEachSimStat() row nested by its dotted
+     * path, then "epochs" (obs::epochsJson()) and "mem" when recorded.
+     * Defined next to obs::simStatsFromJson(), the other visit.
      */
     obs::Json toJson() const;
 };
+
+/** How obs::simStatsFromJson() restores one stat-table row. */
+enum class StatRestore
+{
+    Required,  //!< absent from the tree: SimError
+    Or0,       //!< absent: 0, so manifests older than the counter resume
+    Derived,   //!< computed from other rows: written, never read back
+};
+
+/**
+ * The stat table: @p v gets (dotted manifest path, value, restore rule)
+ * for every SimStats counter and derived value, sorted by path.
+ * Counters arrive as fields of @p s (const when @p S is), derived
+ * values as prvalues.  SimStats::toJson() and obs::simStatsFromJson()
+ * visit it, so a new counter is one field plus one row.
+ */
+template <typename S, typename Visit>
+void
+forEachSimStat(S &s, Visit &&v)
+{
+    using enum StatRestore;
+    v("engine.accesses", s.accesses, Required);
+    v("engine.cycles", s.cycles, Required);
+    v("engine.faults", s.faults, Required);
+    v("engine.instructions", s.instructions, Required);
+    v("engine.l1TlbMisses", s.l1TlbMisses, Required);
+    v("engine.l2TlbHits", s.l2TlbHits, Required);
+    v("engine.mmapCalls", s.mmapCalls, Required);
+    v("engine.mpki", s.mpki(), Derived);
+    v("engine.munmapCalls", s.munmapCalls, Required);
+    v("engine.stlbPenaltyCycles", s.stlbPenaltyCycles, Required);
+    v("engine.systemTimeFraction", s.systemTimeFraction(), Derived);
+    v("engine.walkCycleFraction", s.walkCycleFraction(), Derived);
+    v("engine.walkCycles", s.walkCycles, Required);
+    v("engine.walkMemRefs", s.walkMemRefs, Required);
+    v("engine.walks", s.tlbMisses, Required);
+    v("engine.warmup.accesses", s.warmup.accesses, Required);
+    v("engine.warmup.cycles", s.warmup.cycles, Required);
+    v("engine.warmup.faults", s.warmup.faults, Required);
+    v("engine.warmup.osCycles", s.warmup.osCycles, Required);
+    v("memsys.accesses", s.memsys.accesses, Required);
+    v("memsys.dramAccesses", s.memsys.dramAccesses, Required);
+    v("memsys.l1Hits", s.memsys.l1Hits, Required);
+    v("memsys.llcHits", s.memsys.llcHits, Required);
+    v("mmu.accesses", s.mmu.accesses, Required);
+    v("mmu.ad.pteWrites", s.mmu.adPteWrites, Required);
+    v("mmu.ad.vectorStores", s.mmu.adVectorStores, Required);
+    v("mmu.faults", s.mmu.faults, Required);
+    v("mmu.l1.hits", s.mmu.l1Hits, Required);
+    v("mmu.l1.misses", s.mmu.l1Misses, Required);
+    v("mmu.l2.hits", s.mmu.l2Hits, Required);
+    v("mmu.stlb.penaltyCycles", s.mmu.stlbPenaltyCycles, Required);
+    v("mmu.walk.cycles", s.mmu.walkCycles, Required);
+    v("mmu.walk.faultMemRefs", s.mmu.faultWalkMemRefs, Required);
+    v("mmu.walk.memRefs", s.mmu.walkMemRefs, Required);
+    v("mmu.walk.nestedRefs", s.mmu.nestedWalkRefs, Required);
+    v("mmu.walker.accesses", s.walker.accesses, Required);
+    v("mmu.walker.aliasExtra", s.walker.aliasExtra, Required);
+    v("mmu.walker.faults", s.walker.faults, Required);
+    v("mmu.walker.nestedAccesses", s.walker.nestedAccesses, Required);
+    v("mmu.walker.nestedTlb.hits", s.walker.nestedTlbHits, Required);
+    v("mmu.walker.nestedTlb.misses", s.walker.nestedTlbMisses, Required);
+    v("mmu.walker.walks", s.walker.walks, Required);
+    v("mmu.walks", s.mmu.walks, Required);
+    v("mmu.writeProtFaults", s.mmu.writeProtFaults, Required);
+    v("os.buddy.allocs", s.buddy.allocs, Or0);
+    v("os.buddy.failedAllocs", s.buddy.failedAllocs, Or0);
+    v("os.buddy.frees", s.buddy.frees, Or0);
+    v("os.buddy.merges", s.buddy.merges, Or0);
+    v("os.buddy.splits", s.buddy.splits, Or0);
+    v("os.compaction.mergedPages", s.compaction.mergedPages, Or0);
+    v("os.compaction.migratedBlocks", s.compaction.migratedBlocks, Or0);
+    v("os.compaction.migratedFrames", s.compaction.migratedFrames, Or0);
+    v("os.work.allocCycles", s.osWork.allocCycles, Required);
+    v("os.work.faultCycles", s.osWork.faultCycles, Required);
+    v("os.work.faults", s.osWork.faults, Required);
+    v("os.work.promotions", s.osWork.promotions, Required);
+    v("os.work.pteCycles", s.osWork.pteCycles, Required);
+    v("os.work.reservationsCreated", s.osWork.reservationsCreated,
+      Required);
+    v("os.work.reservationsMissed", s.osWork.reservationsMissed,
+      Required);
+    v("os.work.shootdownCycles", s.osWork.shootdownCycles, Required);
+    v("os.work.totalCycles", s.osWork.totalCycles(), Derived);
+    v("os.work.zeroCycles", s.osWork.zeroCycles, Required);
+}
 
 /** The engine. */
 class Engine : public AllocApi
@@ -213,18 +320,6 @@ class Engine : public AllocApi
      * sweep), then one access from each competitor not yet exhausted.
      */
     SimStats run();
-
-    /**
-     * Register every hardware/OS module's live counters plus the
-     * engine-level counters into @p reg ("engine.*", "mmu.*",
-     * "mmu.tlb.*", "mmu.walker.*", "memsys.*", "cycle.*", "os.*").
-     * Values read through the registry after run() are bit-identical
-     * to the returned SimStats fields.
-     */
-    void registerStats(obs::StatRegistry &reg);
-
-    /** The statistics of the last completed run(). */
-    const SimStats &lastStats() const { return stats_; }
 
     /**
      * Attach an event trace (nullptr = off) to the engine, its MMU
@@ -305,8 +400,6 @@ class Engine : public AllocApi
     obs::EventTrace *trace_ = nullptr;
     obs::ProfileRegistry *profile_ = nullptr;
     obs::MemTelemetry *memTel_ = nullptr;
-    //! run() accumulates here so registered stat probes stay valid.
-    SimStats stats_;
 };
 
 } // namespace tps::sim

@@ -1,6 +1,5 @@
 #include "sim/memsys.hh"
 
-#include "obs/stats_bindings.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -26,12 +25,6 @@ MemSys::MemSys(const MemSysConfig &cfg)
     llc_.init(cfg_.llcBytes, cfg_.llcWays, cfg_.lineBytes);
     lineIsPow2_ = isPowerOfTwo(uint64_t(cfg_.lineBytes));
     lineShift_ = lineIsPow2_ ? log2Floor(cfg_.lineBytes) : 0;
-}
-
-void
-MemSys::registerStats(obs::StatRegistry &reg, const std::string &prefix)
-{
-    obs::bindMemSysStats(reg, prefix, &stats_);
 }
 
 } // namespace tps::sim

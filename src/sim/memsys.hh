@@ -13,14 +13,9 @@
 #define TPS_SIM_MEMSYS_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "vm/addr.hh"
-
-namespace tps::obs {
-class StatRegistry;
-} // namespace tps::obs
 
 namespace tps::sim {
 
@@ -40,10 +35,10 @@ struct MemSysConfig
 /** Per-level hit statistics. */
 struct MemSysStats
 {
-    uint64_t accesses = 0;
-    uint64_t l1Hits = 0;
-    uint64_t llcHits = 0;
-    uint64_t dramAccesses = 0;
+    uint64_t accesses = 0;      //!< cache-hierarchy accesses
+    uint64_t l1Hits = 0;        //!< L1D hits
+    uint64_t llcHits = 0;       //!< LLC hits
+    uint64_t dramAccesses = 0;  //!< DRAM accesses
 };
 
 /** The two-level cache + DRAM latency model. */
@@ -85,9 +80,6 @@ class MemSys
     void clearStats() { stats_ = MemSysStats{}; }
     const MemSysConfig &config() const { return cfg_; }
 
-    /** Register the live per-level hit counters under @p prefix. */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
   private:
     /** One set-associative tag array. */

@@ -2,8 +2,6 @@
 
 #include "obs/event_trace.hh"
 #include "obs/profile.hh"
-#include "obs/stat_registry.hh"
-#include "obs/stats_bindings.hh"
 #include "util/logging.hh"
 #include "util/sim_error.hh"
 
@@ -428,15 +426,6 @@ Mmu::clearStats()
     stats_ = MmuStats{};
     tlb_.clearStats();
     walker_.clearStats();
-}
-
-void
-Mmu::registerStats(obs::StatRegistry &reg, const std::string &prefix)
-{
-    obs::bindMmuStats(reg, prefix, &stats_);
-    walker_.registerStats(reg, prefix + ".walker");
-    tlb_.registerStats(reg, prefix + ".tlb");
-    mmuCache_.registerStats(reg, prefix + ".cache");
 }
 
 } // namespace tps::sim

@@ -23,7 +23,6 @@
 namespace tps::obs {
 class EventTrace;
 class ProfileRegistry;
-class StatRegistry;
 } // namespace tps::obs
 
 namespace tps::sim {
@@ -48,14 +47,14 @@ struct MmuConfig
 /** MMU counters (the figures' raw inputs). */
 struct MmuStats
 {
-    uint64_t accesses = 0;
-    uint64_t l1Hits = 0;
+    uint64_t accesses = 0;        //!< translations, all threads
+    uint64_t l1Hits = 0;          //!< L1 TLB hits
     uint64_t l1Misses = 0;        //!< paper: "L1 DTLB misses"
-    uint64_t l2Hits = 0;
+    uint64_t l2Hits = 0;          //!< L2 TLB hits
     uint64_t walks = 0;           //!< full misses -> hardware walks
     uint64_t walkMemRefs = 0;     //!< paper: "page walk memory refs"
     uint64_t faultWalkMemRefs = 0; //!< refs spent discovering faults
-    uint64_t faults = 0;
+    uint64_t faults = 0;          //!< demand faults
     uint64_t writeProtFaults = 0; //!< writes to read-only pages (CoW)
     uint64_t adPteWrites = 0;     //!< A/D update stores
     uint64_t adVectorStores = 0;  //!< fine-grained bit-vector stores
@@ -152,12 +151,6 @@ class Mmu
     const MmuStats &stats() const { return stats_; }
     void clearStats();
 
-    /**
-     * Register the MMU's live counters (and those of the TLB
-     * hierarchy, walker and MMU caches it owns) under @p prefix.
-     */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
     /**
      * Attach an event trace (nullptr = off) to this MMU and the TLB

@@ -1,7 +1,6 @@
 #include "tlb/tlb_hierarchy.hh"
 
 #include "obs/event_trace.hh"
-#include "obs/stats_bindings.hh"
 #include "util/logging.hh"
 
 namespace tps::tlb {
@@ -278,13 +277,6 @@ TlbHierarchy::clearStats()
         stlbHuge_->clearStats();
     if (rangeTlb_)
         rangeTlb_->clearStats();
-}
-
-void
-TlbHierarchy::registerStats(obs::StatRegistry &reg,
-                            const std::string &prefix)
-{
-    obs::bindTlbStats(reg, prefix, &stats_);
 }
 
 } // namespace tps::tlb

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "tlb/colt_tlb.hh"
@@ -36,7 +35,6 @@
 
 namespace tps::obs {
 class EventTrace;
-class StatRegistry;
 } // namespace tps::obs
 
 namespace tps::tlb {
@@ -207,9 +205,6 @@ class TlbHierarchy
     const TlbHierarchyStats &stats() const { return stats_; }
     void clearStats();
 
-    /** Register the hierarchy's live counters under @p prefix. */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
     /** Record shootdown/flush events into @p trace (nullptr = off). */
     void setEventTrace(obs::EventTrace *trace) { trace_ = trace; }

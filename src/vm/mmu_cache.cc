@@ -1,6 +1,5 @@
 #include "vm/mmu_cache.hh"
 
-#include "obs/stat_registry.hh"
 #include "util/logging.hh"
 #include "vm/page_table.hh"
 
@@ -149,21 +148,6 @@ MmuCache::onNodeMaterialized(PageTableNode *node)
             }
         }
     }
-}
-
-void
-MmuCache::registerStats(obs::StatRegistry &reg, const std::string &prefix)
-{
-    reg.addCounter(prefix + ".lookups", &stats_.lookups,
-                   "MMU-cache lookups");
-    for (unsigned l = 2; l <= kLevels; ++l) {
-        reg.addCounter(prefix + ".hits.l" + std::to_string(l),
-                       &stats_.hits[l],
-                       "hits in the level-" + std::to_string(l) + " cache");
-    }
-    reg.addCounter(prefix + ".fills", &stats_.fills, "MMU-cache fills");
-    reg.addCounter(prefix + ".invalidations", &stats_.invalidations,
-                   "MMU-cache invalidations");
 }
 
 } // namespace tps::vm

@@ -19,14 +19,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "vm/addr.hh"
-
-namespace tps::obs {
-class StatRegistry;
-} // namespace tps::obs
 
 namespace tps::vm {
 
@@ -105,9 +100,6 @@ class MmuCache
 
     const MmuCacheStats &stats() const { return stats_; }
 
-    /** Register the caches' live counters under @p prefix. */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
   private:
     struct Entry

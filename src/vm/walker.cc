@@ -1,7 +1,6 @@
 #include "vm/walker.hh"
 
 #include "obs/event_trace.hh"
-#include "obs/stats_bindings.hh"
 #include "util/logging.hh"
 
 namespace tps::vm {
@@ -137,12 +136,6 @@ PageWalker::walk(Vaddr va)
                      res.fault ? 0 : res.leaf.pageBits);
     }
     return res;
-}
-
-void
-PageWalker::registerStats(obs::StatRegistry &reg, const std::string &prefix)
-{
-    obs::bindWalkerStats(reg, prefix, &stats_);
 }
 
 } // namespace tps::vm

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "vm/addr.hh"
@@ -25,7 +24,6 @@
 
 namespace tps::obs {
 class EventTrace;
-class StatRegistry;
 } // namespace tps::obs
 
 namespace tps::vm {
@@ -61,12 +59,12 @@ struct WalkResult
 struct WalkerStats
 {
     uint64_t walks = 0;
-    uint64_t faults = 0;
+    uint64_t faults = 0;         //!< walks that found no translation
     uint64_t accesses = 0;       //!< total memory references (guest dim)
-    uint64_t aliasExtra = 0;
-    uint64_t nestedAccesses = 0;
-    uint64_t nestedTlbHits = 0;
-    uint64_t nestedTlbMisses = 0;
+    uint64_t aliasExtra = 0;     //!< alias-PTE re-read references
+    uint64_t nestedAccesses = 0; //!< nested-dimension refs (virtualized)
+    uint64_t nestedTlbHits = 0;  //!< nested-translation cache hits
+    uint64_t nestedTlbMisses = 0; //!< nested-translation cache misses
 };
 
 /** The walker. */
@@ -90,9 +88,6 @@ class PageWalker
     /** Reset statistics (not the nested TLB). */
     void clearStats() { stats_ = WalkerStats{}; }
 
-    /** Register the walker's live counters under @p prefix. */
-    void registerStats(obs::StatRegistry &reg,
-                       const std::string &prefix);
 
     /** Record a Walk event per walk() into @p trace (nullptr = off). */
     void setEventTrace(obs::EventTrace *trace) { trace_ = trace; }

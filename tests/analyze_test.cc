@@ -15,6 +15,7 @@
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
 #include "obs/trace_analyze.hh"
+#include "sim/engine.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
@@ -151,7 +152,8 @@ TEST(Analyze, StreamWithoutMarkIsAnalyzedWhole)
     EXPECT_EQ(a.missInterarrival.at(4), 1u);
 }
 
-/** A minimal tps-run-manifest document with one matching cell. */
+/** A tps-run-manifest document with one matching cell whose stat
+ *  tree sets only the L1 miss count. */
 Json
 handManifest(uint64_t misses, const std::string &timing = "real")
 {
@@ -164,7 +166,9 @@ handManifest(uint64_t misses, const std::string &timing = "real")
     opts["workload"] = std::string("gups");
     opts["design"] = std::string("thp");
     opts["timing"] = timing;
-    cell["stats"]["mmu"]["l1"]["misses"] = misses;
+    sim::SimStats stats;
+    stats.mmu.l1Misses = misses;
+    cell["stats"] = stats.toJson();
 
     Json manifest = Json::object();
     manifest["format"] = std::string("tps-run-manifest");
@@ -217,6 +221,26 @@ TEST(Analyze, MissCountMismatchIsAHardError)
     const Json *cell = findManifestCell(manifest, "gups/thp", 42);
     ASSERT_NE(cell, nullptr);
     EXPECT_THROW(residualMisses(a, cell), SimError);
+}
+
+TEST(Analyze, UnreadableManifestStatsAreASimError)
+{
+    // A stats tree holding only the count analyze reads, or none at
+    // all: a one-line error, not an abort, and no table.
+    CellAnalysis a = analyzeCell(handCell());
+    const Json manifest = handManifest(7);
+    const Json &full = manifest.at("cells").at(0);
+    Json partial = Json::object();
+    Json bare = Json::object();
+    for (const auto &[key, value] : full.members()) {
+        if (key != "stats") {
+            partial[key] = value;
+            bare[key] = value;
+        }
+    }
+    partial["stats"]["mmu"]["l1"]["misses"] = uint64_t(7);
+    EXPECT_THROW(residualMisses(a, &partial), SimError);
+    EXPECT_THROW(residualMisses(a, &bare), SimError);
 }
 
 TEST(Analyze, JsonReportCarriesTopNOnly)

@@ -1,28 +1,24 @@
 /**
  * @file
  * Tests for the observability layer: the JSON document model, the stat
- * registry (including the acceptance criterion that registry-backed
- * totals are bit-identical to the legacy SimStats fields), epoch
- * sampling, run manifests and the sweep monitor.
+ * table (sorted unique paths, each row nested in the stat tree with its
+ * field's value), epoch sampling, run manifests and the sweep monitor.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <sstream>
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
 #include "obs/shard.hh"
-#include "obs/stat_registry.hh"
 #include "obs/stats_bindings.hh"
 #include "obs/sweep_monitor.hh"
-#include "os/phys_memory.hh"
 #include "sim/engine.hh"
-#include "workloads/registry.hh"
 
 namespace tps::obs {
 namespace {
@@ -110,96 +106,7 @@ TEST(Json, DumpIsDeterministic)
     EXPECT_EQ(j.dump(2), j.dump(2));
 }
 
-// -------------------------------------------------------- StatRegistry
-
-TEST(StatRegistry, CounterProbesAreLive)
-{
-    StatRegistry reg;
-    uint64_t field = 5;
-    reg.addCounter("mod.count", &field);
-    reg.addCounter("mod.derived", [&field] { return field * 2; });
-    EXPECT_EQ(reg.counter("mod.count"), 5u);
-    field = 9;  // the registry holds a probe, not a copy
-    EXPECT_EQ(reg.counter("mod.count"), 9u);
-    EXPECT_EQ(reg.counter("mod.derived"), 18u);
-}
-
-TEST(StatRegistry, ScalarProbe)
-{
-    StatRegistry reg;
-    double v = 0.25;
-    reg.addScalar("mod.frac", [&v] { return v; });
-    EXPECT_DOUBLE_EQ(reg.scalar("mod.frac"), 0.25);
-    v = 0.75;
-    EXPECT_DOUBLE_EQ(reg.scalar("mod.frac"), 0.75);
-}
-
-TEST(StatRegistry, NamesAreSorted)
-{
-    StatRegistry reg;
-    uint64_t x = 0;
-    reg.addCounter("b.two", &x);
-    reg.addCounter("a.one", &x);
-    reg.addCounter("b.one", &x);
-    std::vector<std::string> expect = {"a.one", "b.one", "b.two"};
-    EXPECT_EQ(reg.names(), expect);
-    EXPECT_EQ(reg.size(), 3u);
-    EXPECT_TRUE(reg.has("a.one"));
-    EXPECT_FALSE(reg.has("a.two"));
-}
-
-TEST(StatRegistry, DuplicateNamePanics)
-{
-    StatRegistry reg;
-    uint64_t x = 0;
-    reg.addCounter("dup.name", &x);
-    EXPECT_DEATH(reg.addCounter("dup.name", &x), "registered twice");
-}
-
-TEST(StatRegistry, ToJsonNestsDottedNames)
-{
-    StatRegistry reg;
-    uint64_t x = 11;
-    reg.addCounter("a.b.c", &x);
-    reg.addCounter("a.d", [] { return uint64_t(22); });
-    Json j = reg.toJson();
-    EXPECT_EQ(j.at("a").at("b").at("c").asUInt(), 11u);
-    EXPECT_EQ(j.at("a").at("d").asUInt(), 22u);
-}
-
-TEST(StatRegistry, SummaryAndHistogramStats)
-{
-    StatRegistry reg;
-    Summary s;
-    s.add(1.0);
-    s.add(3.0);
-    Histogram h;
-    h.add(12, 4);
-    reg.addSummary("mod.lat", &s);
-    reg.addHistogram("mod.sizes", &h);
-    Json j = reg.toJson();
-    EXPECT_EQ(j.at("mod").at("lat").at("count").asUInt(), 2u);
-    EXPECT_DOUBLE_EQ(j.at("mod").at("lat").at("mean").asDouble(), 2.0);
-    EXPECT_EQ(j.at("mod").at("sizes").at("total").asUInt(), 4u);
-    EXPECT_EQ(j.at("mod").at("sizes").at("p50").asUInt(), 12u);
-    EXPECT_EQ(
-        j.at("mod").at("sizes").at("buckets").at("12").asUInt(), 4u);
-}
-
-TEST(StatRegistry, PrintTextListsEveryStat)
-{
-    StatRegistry reg;
-    uint64_t x = 123;
-    reg.addCounter("top.count", &x, "a described counter");
-    std::ostringstream os;
-    reg.printText(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("top.count"), std::string::npos);
-    EXPECT_NE(out.find("123"), std::string::npos);
-    EXPECT_NE(out.find("a described counter"), std::string::npos);
-}
-
-// ------------------------------------- registry vs. SimStats identity
+// ----------------------------------------------------------- stat table
 
 core::RunOptions
 smallRun(uint64_t epochAccesses = 0)
@@ -213,70 +120,51 @@ smallRun(uint64_t epochAccesses = 0)
     return opts;
 }
 
-/**
- * The acceptance criterion: every total read back through the live
- * registry after run() is bit-identical to the corresponding legacy
- * SimStats field.
- */
-TEST(StatRegistry, RegistryMatchesSimStatsBitForBit)
+TEST(StatTable, PathsAreSortedAndUnique)
 {
-    core::RunOptions opts = smallRun();
-    os::PhysMemory pm(opts.physBytes);
-    sim::Engine engine(pm, core::makePolicy(opts.design),
-                       core::makeEngineConfig(opts));
-    auto workload = workloads::makeWorkload(opts.workload, opts.scale,
-                                            core::runSeed(opts));
-    engine.addWorkload(*workload);
+    // Sorted by full dotted path, strictly: SimStats::toJson() nests
+    // the rows in table order, so this is the tree's key order, and no
+    // two rows can claim one path.
+    std::vector<std::string> paths;
+    sim::SimStats stats;
+    sim::forEachSimStat(stats, [&](const char *path, auto &&,
+                                   sim::StatRestore) {
+        paths.push_back(path);
+    });
+    ASSERT_FALSE(paths.empty());
+    for (size_t i = 1; i < paths.size(); ++i)
+        EXPECT_LT(paths[i - 1], paths[i]);
+}
 
-    StatRegistry reg;
-    engine.registerStats(reg);
-    sim::SimStats stats = engine.run();
+TEST(StatTable, TreeNestsEveryRowAtItsDottedPath)
+{
+    sim::SimStats stats = core::runExperiment(smallRun());
     ASSERT_GT(stats.accesses, 0u);
-
-    // Engine-level totals.
-    EXPECT_EQ(reg.counter("engine.accesses"), stats.accesses);
-    EXPECT_EQ(reg.counter("engine.instructions"), stats.instructions);
-    EXPECT_EQ(reg.counter("engine.cycles"), stats.cycles);
-    EXPECT_EQ(reg.counter("engine.l1TlbMisses"), stats.l1TlbMisses);
-    EXPECT_EQ(reg.counter("engine.l2TlbHits"), stats.l2TlbHits);
-    EXPECT_EQ(reg.counter("engine.walks"), stats.tlbMisses);
-    EXPECT_EQ(reg.counter("engine.walkMemRefs"), stats.walkMemRefs);
-    EXPECT_EQ(reg.counter("engine.walkCycles"), stats.walkCycles);
-    EXPECT_EQ(reg.counter("engine.faults"), stats.faults);
-    EXPECT_EQ(reg.counter("engine.warmup.accesses"),
-              stats.warmup.accesses);
-    EXPECT_EQ(reg.counter("engine.mmapCalls"), stats.mmapCalls);
-
-    // Live sub-module counters against their SimStats snapshots.
-    EXPECT_EQ(reg.counter("mmu.accesses"), stats.mmu.accesses);
-    EXPECT_EQ(reg.counter("mmu.l1.misses"), stats.mmu.l1Misses);
-    EXPECT_EQ(reg.counter("mmu.l2.hits"), stats.mmu.l2Hits);
-    EXPECT_EQ(reg.counter("mmu.walks"), stats.mmu.walks);
-    EXPECT_EQ(reg.counter("mmu.walk.memRefs"), stats.mmu.walkMemRefs);
-    EXPECT_EQ(reg.counter("mmu.walker.walks"), stats.walker.walks);
-    EXPECT_EQ(reg.counter("mmu.walker.accesses"),
-              stats.walker.accesses);
-    EXPECT_EQ(reg.counter("memsys.accesses"), stats.memsys.accesses);
-    EXPECT_EQ(reg.counter("memsys.dramAccesses"),
-              stats.memsys.dramAccesses);
-    EXPECT_EQ(reg.counter("os.work.totalCycles"),
-              stats.osWork.totalCycles());
-    EXPECT_EQ(reg.counter("os.work.faults"), stats.osWork.faults);
-
-    // Derived scalars agree with the struct's own methods.
-    EXPECT_EQ(reg.scalar("engine.mpki"), stats.mpki());
-    EXPECT_EQ(reg.scalar("engine.walkCycleFraction"),
-              stats.walkCycleFraction());
-
-    // The snapshot path binds the same names to the same values.
-    StatRegistry snap;
-    bindSimStats(snap, &stats);
-    for (const std::string &name :
-         {"engine.accesses", "engine.l1TlbMisses", "engine.walks",
-          "mmu.l1.misses", "mmu.walker.walks", "memsys.accesses",
-          "os.work.totalCycles"}) {
-        EXPECT_EQ(snap.counter(name), reg.counter(name)) << name;
-    }
+    Json tree = stats.toJson();
+    size_t rows = 0;
+    sim::forEachSimStat(stats, [&](const char *path, const auto &value,
+                                   sim::StatRestore) {
+        const Json *node = &tree;
+        std::string rest = path;
+        for (size_t dot; (dot = rest.find('.')) != std::string::npos;
+             rest.erase(0, dot + 1)) {
+            ASSERT_NE(node = node->find(rest.substr(0, dot)), nullptr)
+                << path;
+        }
+        ASSERT_NE(node = node->find(rest), nullptr) << path;
+        EXPECT_EQ(node->dump(), Json(value).dump()) << path;
+        ++rows;
+    });
+    // ...and the tree holds nothing else (no epochs or mem here).
+    std::function<size_t(const Json &)> leaves = [&](const Json &j) {
+        if (j.kind() != Json::Kind::Object)
+            return size_t(1);
+        size_t n = 0;
+        for (const auto &member : j.members())
+            n += leaves(member.second);
+        return n;
+    };
+    EXPECT_EQ(leaves(tree), rows);
 }
 
 // ------------------------------------------------------ epoch sampling

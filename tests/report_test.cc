@@ -11,12 +11,14 @@
 #include "core/tps_system.hh"
 #include "obs/report.hh"
 #include "obs/run_manifest.hh"
+#include "sim/engine.hh"
 #include "util/sim_error.hh"
 
 namespace tps::obs {
 namespace {
 
-/** A minimal ok/failed cell with just the fields the report reads. */
+/** An ok/failed cell whose stat tree sets just the fields the report
+ *  reads. */
 Json
 makeCell(const std::string &wl, const std::string &design,
          const std::string &status, uint64_t cycles, uint64_t misses)
@@ -28,12 +30,13 @@ makeCell(const std::string &wl, const std::string &design,
     options["timing"] = std::string("real");
     cell["status"] = status;
     if (status == "ok") {
-        Json &engine = cell["stats"]["engine"];
-        engine["accesses"] = uint64_t(1000);
-        engine["instructions"] = uint64_t(4000);
-        engine["cycles"] = cycles;
-        engine["l1TlbMisses"] = misses;
-        engine["walks"] = misses / 2;
+        sim::SimStats stats;
+        stats.accesses = 1000;
+        stats.instructions = 4000;
+        stats.cycles = cycles;
+        stats.l1TlbMisses = misses;
+        stats.tlbMisses = misses / 2;
+        cell["stats"] = stats.toJson();
     }
     return cell;
 }

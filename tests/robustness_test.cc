@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,6 +44,71 @@ scratchPath(const std::string &name)
 {
     return "robustness_test_" + name + ".json";
 }
+
+/** A copy of object @p j without the member at dotted @p path. */
+obs::Json
+without(const obs::Json &j, const std::string &path)
+{
+    size_t dot = path.find('.');
+    std::string head = path.substr(0, dot);
+    obs::Json out = obs::Json::object();
+    for (const auto &[key, value] : j.members()) {
+        if (key != head)
+            out[key] = value;
+        else if (dot != std::string::npos)
+            out[key] = without(value, path.substr(dot + 1));
+    }
+    return out;
+}
+
+/** The dotted paths of every non-object leaf below @p j. */
+void
+leafPaths(const obs::Json &j, const std::string &prefix,
+          std::vector<std::string> &out)
+{
+    for (const auto &[key, value] : j.members()) {
+        std::string path = prefix.empty() ? key : prefix + "." + key;
+        if (value.kind() == obs::Json::Kind::Object)
+            leafPaths(value, path, out);
+        else
+            out.push_back(path);
+    }
+}
+
+/**
+ * A stat tree with a distinct non-zero value in every counter and a
+ * two-sample epoch series, as SimStats::toJson() wrote it before the
+ * stat table existed: the derived values match their counters, and the
+ * keys are in the writer's order.
+ */
+const char *const kPinnedStatTree =
+    R"({"engine":{"accesses":1035,"cycles":1049,"faults":1098,"instructio)"
+    R"(ns":1042,"l1TlbMisses":1056,"l2TlbHits":1063,"mmapCalls":1399,"mpk)"
+    R"(i":1013.4357005758158,"munmapCalls":1406,"stlbPenaltyCycles":1091,)"
+    R"("systemTimeFraction":0.8385657125269314,"walkCycleFraction":1.0333)"
+    R"(651096282173,"walkCycles":1084,"walkMemRefs":1077,"walks":1070,"wa)"
+    R"(rmup":{"accesses":1007,"cycles":1014,"faults":1028,"osCycles":1021)"
+    R"(}},"memsys":{"accesses":1252,"dramAccesses":1273,"l1Hits":1259,"ll)"
+    R"(cHits":1266},"mmu":{"accesses":1105,"ad":{"pteWrites":1168,"vector)"
+    R"(Stores":1175},"faults":1154,"l1":{"hits":1112,"misses":1119},"l2":)"
+    R"({"hits":1126},"stlb":{"penaltyCycles":1189},"walk":{"cycles":1182,)"
+    R"("faultMemRefs":1147,"memRefs":1140,"nestedRefs":1196},"walker":{"a)"
+    R"(ccesses":1217,"aliasExtra":1224,"faults":1210,"nestedAccesses":123)"
+    R"(1,"nestedTlb":{"hits":1238,"misses":1245},"walks":1203},"walks":11)"
+    R"(33,"writeProtFaults":1161},"os":{"buddy":{"allocs":1343,"failedAll)"
+    R"(ocs":1371,"frees":1350,"merges":1364,"splits":1357},"compaction":{)"
+    R"("mergedPages":1392,"migratedBlocks":1378,"migratedFrames":1385},"w)"
+    R"(ork":{"allocCycles":1287,"faultCycles":1280,"faults":1315,"promoti)"
+    R"(ons":1322,"pteCycles":1294,"reservationsCreated":1329,"reservation)"
+    R"(sMissed":1336,"shootdownCycles":1308,"totalCycles":6470,"zeroCycle)"
+    R"(s":1301}},"epochs":{"interval":1413,"samples":[{"accesses":1420,"i)"
+    R"(nstructions":1427,"cycles":1434,"l1TlbMisses":1441,"l2TlbHits":144)"
+    R"(8,"walks":1455,"walkMemRefs":1462,"walkCycles":1469,"faults":1476,)"
+    R"("osCycles":1483,"mpki":1009.8107918710582,"walkCycleFraction":1.02)"
+    R"(44072524407253},{"accesses":1490,"instructions":1497,"cycles":1504)"
+    R"(,"l1TlbMisses":1511,"l2TlbHits":1518,"walks":1525,"walkMemRefs":15)"
+    R"(32,"walkCycles":1539,"faults":1546,"osCycles":1553,"mpki":1009.352)"
+    R"(0374081496,"walkCycleFraction":1.0232712765957446}]}})";
 
 TEST(SimErrorTaxonomy, KindNamesAreStable)
 {
@@ -186,6 +252,59 @@ TEST(StatsBindings, SimStatsRoundTripThroughJson)
     EXPECT_THROW((void)obs::simStatsFromJson(broken), SimError);
 }
 
+TEST(StatsBindings, StatTreePinnedAcrossBuilds)
+{
+    // Read then written back byte for byte: no counter is dropped on
+    // either side, and no path or key order has moved -- also for
+    // counters that read 0 in every real run (os.compaction.*,
+    // mmu.walk.nestedRefs).
+    sim::SimStats stats =
+        obs::simStatsFromJson(obs::parseJson(kPinnedStatTree));
+    EXPECT_EQ(stats.toJson().dump(), kPinnedStatTree);
+    EXPECT_EQ(stats.epochs.size(), 2u);
+}
+
+TEST(StatsBindings, AbsentCountersFollowTheirRestoreRule)
+{
+    const obs::Json tree = obs::parseJson(kPinnedStatTree);
+    const std::vector<std::string> derived = {
+        "engine.mpki", "engine.systemTimeFraction",
+        "engine.walkCycleFraction", "os.work.totalCycles"};
+    std::vector<std::string> paths;
+    leafPaths(without(tree, "epochs"), "", paths);
+    ASSERT_EQ(paths.size(), 62u);
+    for (const std::string &path : paths) {
+        obs::Json pruned = without(tree, path);
+        if (path.rfind("os.buddy.", 0) == 0 ||
+            path.rfind("os.compaction.", 0) == 0) {
+            // Newer than manifest v2: absent restores as 0.
+            obs::Json expect = tree;
+            obs::Json *node = &expect;
+            for (size_t pos = 0, dot = 0; dot != std::string::npos;
+                 pos = dot + 1) {
+                dot = path.find('.', pos);
+                node = &(*node)[path.substr(pos, dot - pos)];
+            }
+            *node = obs::Json(uint64_t(0));
+            EXPECT_EQ(obs::simStatsFromJson(pruned).toJson().dump(),
+                      expect.dump())
+                << path;
+        } else if (std::find(derived.begin(), derived.end(), path) !=
+                   derived.end()) {
+            // Derived values are recomputed, never read.
+            EXPECT_EQ(obs::simStatsFromJson(pruned).toJson().dump(),
+                      kPinnedStatTree)
+                << path;
+        } else {
+            EXPECT_THROW((void)obs::simStatsFromJson(pruned), SimError)
+                << path;
+        }
+    }
+    EXPECT_THROW(
+        (void)obs::simStatsFromJson(without(tree, "epochs.interval")),
+        SimError);
+}
+
 TEST(Manifest, FailedCellRecordsErrorAndStatus)
 {
     obs::CellArtifact cell;
@@ -247,10 +366,10 @@ TEST(Resume, ResumedSweepManifestIsByteIdentical)
     for (const core::RunOptions &opts : cells) {
         obs::CellArtifact cell;
         cell.options = opts;
-        if (const obs::Json *pure = log.find(opts)) {
-            cell.stats = obs::simStatsFromJson(pure->at("stats"));
+        if (const obs::ResumedCell *prior = log.find(opts)) {
+            cell.stats = prior->stats;
             cell.status = core::CellStatus::Resumed;
-            cell.restored = *pure;
+            cell.restored = prior->pure;
         } else {
             cell.stats = core::runExperiment(opts);
         }
@@ -369,6 +488,41 @@ TEST(Resume, RejectedByMergeLoadsNothing)
         EXPECT_FALSE(log.load(path)) << doc;
         EXPECT_EQ(log.size(), 0u);
         EXPECT_FALSE(log.error().empty()) << doc;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Resume, UnreadableStatsLoadsNothing)
+{
+    // An ok cell whose stats tree is missing, lacks a required counter
+    // or holds a non-counter: the file loads nothing, even its good
+    // cell, and says which cell failed.
+    obs::CellArtifact good;
+    good.options = smallRun("gups", core::Design::Thp);
+    obs::CellArtifact bad;
+    bad.options = smallRun("gups", core::Design::Tps);
+    obs::ManifestInfo info;
+    info.bench = "unreadable";
+    info.includeHost = false;
+    const obs::Json manifest = obs::manifestJson(info, {good, bad});
+    const obs::Json &bad_cell = manifest.at("cells").at(1);
+    obs::Json wrong_kind = without(bad_cell, "stats.engine.cycles");
+    wrong_kind["stats"]["engine"]["cycles"] = std::string("many");
+
+    const std::string path = scratchPath("unreadable");
+    for (const obs::Json &cell :
+         {without(bad_cell, "stats"),
+          without(bad_cell, "stats.mmu.walk.memRefs"), wrong_kind}) {
+        obs::Json doc = without(manifest, "cells");
+        doc["cells"].push(manifest.at("cells").at(0));
+        doc["cells"].push(cell);
+        obs::writeJsonFile(path, doc);
+        obs::ResumeLog log;
+        EXPECT_FALSE(log.load(path)) << cell.dump();
+        EXPECT_EQ(log.size(), 0u);
+        EXPECT_EQ(log.find(good.options), nullptr);
+        EXPECT_NE(log.error().find("gups/tps"), std::string::npos)
+            << log.error();
     }
     std::remove(path.c_str());
 }
