@@ -2,203 +2,45 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
+#include <memory>
 
 #include "core/experiment_runner.hh"
 #include "obs/event_trace.hh"
 #include "obs/profile.hh"
 #include "obs/resume.hh"
 #include "obs/run_manifest.hh"
-#include "sim/perf_model.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
-#include "workloads/registry.hh"
 
 namespace tps::bench {
 
 namespace {
 
-/**
- * Bench-wide observability state.  Each bench is one main program, so
- * a single process-wide context (guarded for the pooled recorders) is
- * the natural owner of the monitor and the collected artifacts.
- */
-struct BenchContext
+/** What one figure run collects on its way to the artifacts. */
+struct Sweep
 {
-    std::string name;
-    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
     //! Wall-clock start for the shard provenance's run span.
-    uint64_t startedUnixMs = 0;
+    uint64_t startedUnixMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count();
     std::unique_ptr<obs::SweepMonitor> monitor;
-    std::mutex mu;
-    std::vector<obs::CellArtifact> artifacts;
     obs::ResumeLog resume;  //!< empty unless --resume found a manifest
     //! --shard: the full planned grid plus this process's slice.
     obs::ShardPlan plan;
-    //! --event-trace: per-cell event traces collected by runCells.
+    std::vector<bool> owned;  //!< per cell: this process runs it
+    std::vector<obs::CellArtifact> artifacts;
+    //! --event-trace: per-cell event traces.
     std::vector<obs::TraceCell> traceCells;
     //! --profile: sweep-wide simulator self-profile totals.
     obs::ProfileRegistry profileTotal;
 };
 
-BenchContext g_bench;
-
-/** What a table prints for a value whose cells did not all run. */
-constexpr const char *kHole = "—";
-
-/**
- * Push the (re)planned grid's shard identity into the monitor, so
- * heartbeats and traces carry the current fingerprint.  Planning only
- * happens on the submitting thread, between sweeps, so reading the
- * plan here is race-free.
- */
-void
-syncShardMonitor()
-{
-    const obs::ShardSpec &spec = g_bench.plan.spec();
-    if (g_bench.monitor && spec.active()) {
-        g_bench.monitor->setShard(spec.index, spec.count,
-                                  g_bench.plan.gridFingerprint());
-    }
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-using core::cellLabel;
-
-} // namespace
-
-void
-initBench(const std::string &name, const FigOptions &opts)
-{
-    g_bench.name = name;
-    g_bench.start = std::chrono::steady_clock::now();
-    g_bench.startedUnixMs =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    g_bench.plan = obs::ShardPlan(opts.shard);
-    if (!opts.tracePath.empty() || opts.progress ||
-        !opts.heartbeatPath.empty()) {
-        obs::SweepMonitor::Config mcfg;
-        mcfg.bench = name;
-        mcfg.progress = opts.progress;
-        mcfg.heartbeatPath = opts.heartbeatPath;
-        mcfg.heartbeatIntervalSeconds = opts.heartbeatInterval;
-        g_bench.monitor = std::make_unique<obs::SweepMonitor>(mcfg);
-        syncShardMonitor();
-    }
-    if (opts.resume) {
-        if (opts.statsJson.empty())
-            tps_fatal("--resume needs --stats-json=<path> (the manifest "
-                      "to resume from and rewrite)");
-        if (g_bench.resume.load(opts.statsJson)) {
-            std::fprintf(stderr,
-                         "resuming: %zu completed cells in %s\n",
-                         g_bench.resume.size(), opts.statsJson.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "no usable manifest at %s (%s); running all "
-                         "cells\n",
-                         opts.statsJson.c_str(),
-                         g_bench.resume.error().c_str());
-        }
-    }
-}
-
-int
-finishBench(const FigOptions &opts)
-{
-    if (opts.shard.active()) {
-        std::fprintf(stderr,
-                     "shard %u/%u: owned %zu of %zu planned units "
-                     "(grid %s)\n",
-                     opts.shard.index, opts.shard.count,
-                     g_bench.plan.ownedUnits(),
-                     g_bench.plan.plannedUnits(),
-                     g_bench.plan.gridFingerprint().c_str());
-    }
-    if (!opts.statsJson.empty()) {
-        obs::ManifestInfo info;
-        info.bench = g_bench.name;
-        info.jobs = opts.jobs;
-        info.wallSeconds = secondsSince(g_bench.start);
-        if (opts.shard.active()) {
-            // Host-only provenance for `tps merge`: which slice this
-            // partial manifest covers, and the run's wall-clock span.
-            info.shard = g_bench.plan.provenanceJson();
-            info.shard["startedUnixMs"] = g_bench.startedUnixMs;
-            info.shard["wallSeconds"] = info.wallSeconds;
-        }
-        std::lock_guard<std::mutex> lock(g_bench.mu);
-        obs::writeManifest(opts.statsJson, info, g_bench.artifacts);
-        std::fprintf(stderr, "wrote %zu-cell manifest to %s\n",
-                     g_bench.artifacts.size(), opts.statsJson.c_str());
-    }
-    if (!opts.tracePath.empty() && g_bench.monitor) {
-        g_bench.monitor->writeTrace(opts.tracePath);
-        std::fprintf(stderr, "wrote sweep trace to %s\n",
-                     opts.tracePath.c_str());
-    }
-    if (!opts.eventTracePath.empty()) {
-        std::lock_guard<std::mutex> lock(g_bench.mu);
-        if (g_bench.traceCells.empty()) {
-            tps_warn("--event-trace=%s: no cells were traced (resumed "
-                     "cells record no events); writing an empty "
-                     "container",
-                     opts.eventTracePath.c_str());
-        }
-        size_t n = g_bench.traceCells.size();
-        obs::writeTraceFile(opts.eventTracePath,
-                            std::move(g_bench.traceCells));
-        std::fprintf(stderr, "wrote %zu-cell event trace to %s\n", n,
-                     opts.eventTracePath.c_str());
-    }
-    if (opts.profile) {
-        // Host wall-clock numbers: informative, never deterministic,
-        // never part of any manifest.
-        std::lock_guard<std::mutex> lock(g_bench.mu);
-        std::fprintf(stderr, "simulator self-profile (host time):\n");
-        for (unsigned i = 0; i < obs::kProfPhaseCount; ++i) {
-            auto phase = static_cast<obs::ProfPhase>(i);
-            const auto &e = g_bench.profileTotal.entry(phase);
-            if (e.calls == 0)
-                continue;
-            std::fprintf(stderr,
-                         "  %-14s %12llu calls %10.3f ms  %8.1f ns/call\n",
-                         obs::profPhaseName(phase),
-                         static_cast<unsigned long long>(e.calls),
-                         e.ns / 1e6,
-                         e.calls ? double(e.ns) / double(e.calls) : 0.0);
-        }
-    }
-    std::lock_guard<std::mutex> lock(g_bench.mu);
-    size_t failed = 0;
-    for (const obs::CellArtifact &cell : g_bench.artifacts) {
-        if (cell.status == core::CellStatus::Failed ||
-            cell.status == core::CellStatus::Timeout) {
-            ++failed;
-        }
-    }
-    if (failed == 0)
-        return 0;
-    std::fprintf(stderr, "%zu cell(s) failed or timed out; their rows "
-                         "print as %s\n", failed, kHole);
-    // A shard's failures are holes in its partial manifest, which
-    // `tps merge --require-complete` reports for the whole sweep.
-    return opts.shard.active() ? 0 : 1;
-}
-
+/** Parse the flags runFigure() documents over the defaults in @p opts. */
 FigOptions
 parseArgs(int argc, char **argv, FigOptions opts)
 {
@@ -224,6 +66,7 @@ parseArgs(int argc, char **argv, FigOptions opts)
             opts.jobs = static_cast<unsigned>(jobs);
         } else if (std::strncmp(arg, "--benchmarks=", 13) == 0) {
             std::string list = arg + 13;
+            size_t before = opts.benchmarks.size();
             size_t pos = 0;
             while (pos != std::string::npos) {
                 size_t comma = list.find(',', pos);
@@ -235,6 +78,8 @@ parseArgs(int argc, char **argv, FigOptions opts)
                     opts.benchmarks.push_back(name);
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
+            if (opts.benchmarks.size() == before)
+                tps_fatal("--benchmarks needs a value (a,b,c)");
         } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
             if (!parseU64(arg + 9, &run.epochAccesses) ||
                 run.epochAccesses == 0) {
@@ -319,204 +164,106 @@ parseArgs(int argc, char **argv, FigOptions opts)
     return opts;
 }
 
-const std::vector<std::string> &
-benchList(const FigOptions &opts)
+/** The row of figures() named @p name; fatal, listing them, if none. */
+const Figure &
+findFigure(const std::string &name)
 {
-    if (!opts.benchmarks.empty())
-        return opts.benchmarks;
-    return workloads::evaluationSuite();
-}
-
-void
-printHeader(const std::string &fig_id, const std::string &title,
-            const std::string &paper_note)
-{
-    std::printf("== %s: %s ==\n", fig_id.c_str(), title.c_str());
-    std::printf("paper: %s\n\n", paper_note.c_str());
-    std::fflush(stdout);
-}
-
-void
-printTable(const FigOptions &opts, const Table &table)
-{
-    if (opts.shard.active()) {
-        std::cout << "partial (shard " << opts.shard.index << "/"
-                  << opts.shard.count << ")\n";
+    std::string names;
+    for (const Figure &fig : figures()) {
+        if (fig.name == name)
+            return fig;
+        names += (names.empty() ? "" : ", ") + fig.name;
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
-    std::cout << std::endl;
+    tps_fatal("unknown figure '%s' (one of: %s)", name.c_str(),
+              names.c_str());
 }
-
-core::RunOptions
-makeRun(const FigOptions &opts, const std::string &wl,
-        core::Design design)
-{
-    core::RunOptions run = opts.run;
-    run.workload = wl;
-    run.design = design;
-    return run;
-}
-
-core::RunOptions
-makeSmtRun(const FigOptions &opts, const std::string &wl,
-           core::Design design)
-{
-    core::RunOptions run = makeRun(opts, wl, design);
-    run.smt = true;
-    // Two full workload instances need twice the physical memory.
-    run.physBytes = opts.run.physBytes * 2;
-    return run;
-}
-
-double
-elimPercent(uint64_t baseline, uint64_t with)
-{
-    double e = percentEliminated(baseline, with);
-    return e < 0.0 ? 0.0 : e;
-}
-
-namespace {
-
-/** Summary rows are never printed by a shard: it owns only a slice. */
-bool
-printsSummaries(const FigOptions &opts)
-{
-    return !opts.shard.active();
-}
-
-/** @p label, plus "(k of n rows)" when some rows had no data. */
-std::string
-summaryLabel(const std::string &label, size_t covered, size_t rows)
-{
-    if (covered == rows)
-        return label;
-    return label + " (" + std::to_string(covered) + " of " +
-           std::to_string(rows) + " rows)";
-}
-
-/** One benchmark's Fig. 13/14 speedup estimates. */
-struct SpeedupRow
-{
-    double tps = 1.0;
-    double rmm = 1.0;
-    double colt = 1.0;
-    double idealSpeedup = 1.0;    //!< eliminate all translation time
-    double tpsFracOfIdeal = 1.0;  //!< share of ideal savings TPS gets
-};
-
-/** Cells per benchmark in the Sec. IV-B speedup pipeline. */
-constexpr size_t kSpeedupCells = 7;
 
 /**
- * The paper's Sec. IV-B estimation cells for one benchmark, in the
- * order speedupRow() reads them: the THP baseline (real, perfect-L2
- * and perfect-L1 timing), the THP-off calibration point, then TPS,
- * RMM and CoLT.  With @p smt every configuration runs with a competing
- * SMT thread (Figure 14) instead of alone (Figure 13).
+ * Plan the grid, then set up the monitor and the --resume log.  Every
+ * shard plans the full grid, so the fingerprints match, and keeps only
+ * the cells it owns.
  */
-std::vector<core::RunOptions>
-speedupCells(const FigOptions &opts, const std::string &wl, bool smt)
+void
+initSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts,
+          const std::vector<Cell> &cells)
 {
-    auto cell = [&](core::Design d) {
-        return smt ? makeSmtRun(opts, wl, d) : makeRun(opts, wl, d);
-    };
-    core::RunOptions perfect_l2 = cell(core::Design::Thp);
-    perfect_l2.timing = sim::TlbTimingMode::PerfectL2;
-    core::RunOptions perfect_l1 = perfect_l2;
-    perfect_l1.timing = sim::TlbTimingMode::PerfectL1;
-    return {cell(core::Design::Thp), perfect_l2, perfect_l1,
-            cell(core::Design::Base4k), cell(core::Design::Tps),
-            cell(core::Design::Rmm), cell(core::Design::Colt)};
+    sweep.plan = obs::ShardPlan(opts.shard);
+    for (const Cell &cell : cells)
+        sweep.owned.push_back(sweep.plan.planCell(cell.run));
+    if (!opts.tracePath.empty() || opts.progress ||
+        !opts.heartbeatPath.empty()) {
+        obs::SweepMonitor::Config mcfg;
+        mcfg.bench = fig.name;
+        mcfg.progress = opts.progress;
+        mcfg.heartbeatPath = opts.heartbeatPath;
+        mcfg.heartbeatIntervalSeconds = opts.heartbeatInterval;
+        sweep.monitor = std::make_unique<obs::SweepMonitor>(mcfg);
+        if (opts.shard.active()) {
+            sweep.monitor->setShard(opts.shard.index, opts.shard.count,
+                                    sweep.plan.gridFingerprint());
+        }
+    }
+    if (opts.resume) {
+        if (opts.statsJson.empty())
+            tps_fatal("--resume needs --stats-json=<path> (the manifest "
+                      "to resume from and rewrite)");
+        if (sweep.resume.load(opts.statsJson)) {
+            std::fprintf(stderr,
+                         "resuming: %zu completed cells in %s\n",
+                         sweep.resume.size(), opts.statsJson.c_str());
+        } else {
+            std::fprintf(stderr,
+                         "no usable manifest at %s (%s); running all "
+                         "cells\n",
+                         opts.statsJson.c_str(),
+                         sweep.resume.error().c_str());
+        }
+    }
 }
 
-/** Apply the analytic model to one benchmark's speedupCells(). */
-SpeedupRow
-speedupRow(const std::vector<const CellResult *> &cells)
-{
-    // THP baseline: real timing plus the two perfect-TLB reference
-    // points and the THP-disabled calibration point.
-    const sim::SimStats &thp = cells[0]->stats;
-    const sim::SimStats &off = cells[3]->stats;
-    double savable = sim::savablePwcFraction(
-        sim::CounterPoint{off.cycles, off.walkCycles},
-        sim::CounterPoint{thp.cycles, thp.walkCycles});
-
-    auto estimate = [&](const sim::SimStats &s) {
-        sim::SpeedupInputs in;
-        in.baselineCycles = thp.cycles;
-        in.perfectL2Cycles = cells[1]->stats.cycles;
-        in.perfectL1Cycles = cells[2]->stats.cycles;
-        in.baselinePwCycles = thp.walkCycles;
-        in.savableFraction = savable;
-        in.l1MissElimination =
-            elimPercent(thp.l1TlbMisses, s.l1TlbMisses) / 100.0;
-        in.walkRefElimination =
-            elimPercent(thp.walkMemRefs, s.walkMemRefs) / 100.0;
-        return sim::estimateSpeedup(in);
-    };
-
-    sim::SpeedupResult tps = estimate(cells[4]->stats);
-    SpeedupRow row;
-    row.tps = tps.speedup;
-    row.rmm = estimate(cells[5]->stats).speedup;
-    row.colt = estimate(cells[6]->stats).speedup;
-    row.idealSpeedup = tps.idealSpeedup;
-    row.tpsFracOfIdeal = tps.fractionOfIdeal();
-    return row;
-}
-
-} // namespace
-
+/**
+ * Run the figure's whole grid as one sweep on an opts.jobs-wide
+ * ExperimentRunner; see CellResults for what comes back.
+ */
 CellResults
-runCells(const FigOptions &opts,
-         const std::vector<core::RunOptions> &cells, bool census)
+runCells(Sweep &sweep, const FigOptions &opts,
+         const std::vector<Cell> &cells)
 {
-    // Plan every cell (all shards register the full grid, so the
-    // fingerprints match), then keep only the owned slice.  Unowned
-    // cells are skipped before the resume lookup: --resume + --shard
-    // restores only cells this shard owns.
-    std::vector<bool> owned(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-        owned[i] = g_bench.plan.planCell(cells[i]);
-    syncShardMonitor();
-
     // Restore completed cells from the prior manifest; only the rest
     // go to the pool.  The manifest holds no census, so census cells
-    // always run.
+    // always run.  Unowned cells are skipped before the resume lookup:
+    // --resume + --shard restores only cells this shard owns.
     std::vector<obs::CellArtifact> arts(cells.size());
     CellResults results(cells.size());
     std::vector<core::RunOptions> to_run;
     std::vector<size_t> to_run_idx;
+    core::SweepPolicy policy;
     for (size_t i = 0; i < cells.size(); ++i) {
-        if (!owned[i])
+        if (!sweep.owned[i])
             continue;
         const obs::ResumedCell *prior =
-            census ? nullptr : g_bench.resume.find(cells[i]);
+            cells[i].census ? nullptr : sweep.resume.find(cells[i].run);
         if (prior) {
             // A Resumed artifact carries the prior cell JSON verbatim.
             obs::CellArtifact &cell = arts[i];
-            cell.options = cells[i];
+            cell.options = cells[i].run;
             cell.stats = prior->stats;
             cell.status = core::CellStatus::Resumed;
             cell.attempts = 0;
             cell.restored = prior->pure;
             results[i] = CellResult{cell.stats, {}};
         } else {
-            to_run.push_back(cells[i]);
+            to_run.push_back(cells[i].run);
             to_run_idx.push_back(i);
+            policy.census.push_back(cells[i].census);
         }
     }
 
     core::ExperimentRunner runner(opts.jobs);
-    runner.setMonitor(g_bench.monitor.get());
-    core::SweepPolicy policy;
+    runner.setMonitor(sweep.monitor.get());
     policy.retries = opts.retries;
     policy.eventTrace = !opts.eventTracePath.empty();
     policy.profile = opts.profile;
-    policy.census = census;
     std::vector<core::CellOutcome> outcomes =
         runner.runGuarded(to_run, policy);
     for (size_t j = 0; j < outcomes.size(); ++j) {
@@ -536,125 +283,136 @@ runCells(const FigOptions &opts,
         } else {
             std::fprintf(stderr,
                          "cell %s %s after %u attempt(s): %s\n",
-                         cellLabel(cell.options).c_str(),
+                         core::cellLabel(cell.options).c_str(),
                          core::cellStatusName(cell.status),
                          cell.attempts, cell.error.c_str());
         }
-        // Collect per-cell observability; the container writer sorts
-        // cells by (label, seed), so the on-disk trace is byte-stable
-        // across --jobs counts and sweep scheduling.  (Cells restored
-        // by --resume were not re-run, so they contribute no trace.)
-        if (out.trace || out.profile) {
-            std::lock_guard<std::mutex> lock(g_bench.mu);
-            if (out.trace) {
-                g_bench.traceCells.push_back(
-                    obs::TraceCell{cellLabel(to_run[j]),
-                                   core::runSeed(to_run[j]),
-                                   out.trace->takeEvents()});
-            }
-            if (out.profile)
-                g_bench.profileTotal.merge(*out.profile);
+        // The container writer sorts cells by (label, seed), so the
+        // on-disk trace is byte-stable across --jobs counts and sweep
+        // scheduling.  (Cells restored by --resume were not re-run, so
+        // they contribute no trace.)
+        if (out.trace) {
+            sweep.traceCells.push_back(
+                obs::TraceCell{core::cellLabel(to_run[j]),
+                               core::runSeed(to_run[j]),
+                               out.trace->takeEvents()});
         }
+        if (out.profile)
+            sweep.profileTotal.merge(*out.profile);
     }
 
     // Record in input order so the manifest layout is independent of
     // pool scheduling (the golden test compares it across --jobs).
     // Unowned cells get no manifest entry.
-    std::lock_guard<std::mutex> lock(g_bench.mu);
     for (size_t i = 0; i < arts.size(); ++i) {
-        if (owned[i])
-            g_bench.artifacts.push_back(std::move(arts[i]));
+        if (sweep.owned[i])
+            sweep.artifacts.push_back(std::move(arts[i]));
     }
     return results;
 }
 
-std::vector<const CellResult *>
-rowCells(const CellResults &results, size_t first, size_t n)
+/**
+ * Write the artifacts the command line asked for (--stats-json
+ * manifest, --trace Chrome trace, --event-trace container, --profile
+ * stderr report) and return the exit status runFigure() documents.
+ */
+int
+finishSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts)
 {
-    std::vector<const CellResult *> row;
-    for (size_t i = first; i < first + n; ++i) {
-        if (!results[i])
-            return {};
-        row.push_back(&*results[i]);
+    if (opts.shard.active()) {
+        std::fprintf(stderr,
+                     "shard %u/%u: owned %zu of %zu planned units "
+                     "(grid %s)\n",
+                     opts.shard.index, opts.shard.count,
+                     sweep.plan.ownedUnits(), sweep.plan.plannedUnits(),
+                     sweep.plan.gridFingerprint().c_str());
     }
-    return row;
-}
-
-void
-addHoleRow(Table &table, const std::string &label)
-{
-    std::vector<std::string> row(table.columns(), kHole);
-    row[0] = label;
-    table.addRow(std::move(row));
-}
-
-void
-addSummaryRow(const FigOptions &opts, Table &table,
-              const std::string &label, size_t covered, size_t rows,
-              std::vector<std::string> values)
-{
-    if (!printsSummaries(opts))
-        return;
-    if (covered == 0) {
-        for (std::string &v : values)
-            if (!v.empty())
-                v = kHole;
-    }
-    values.insert(values.begin(), summaryLabel(label, covered, rows));
-    table.addRow(std::move(values));
-}
-
-void
-printSpeedupFigure(const FigOptions &opts, bool smt)
-{
-    const auto &list = benchList(opts);
-    std::vector<core::RunOptions> cells;
-    for (const auto &wl : list) {
-        for (core::RunOptions &run : speedupCells(opts, wl, smt))
-            cells.push_back(std::move(run));
-    }
-    CellResults results = runCells(opts, cells);
-
-    Table table({"benchmark", "tps", "rmm", "colt", "ideal",
-                 "tps %-of-ideal"});
-    Summary tps_sum, rmm_sum, colt_sum, frac_sum;
-    for (size_t i = 0; i < list.size(); ++i) {
-        auto row_cells = rowCells(results, kSpeedupCells * i,
-                                  kSpeedupCells);
-        if (row_cells.empty()) {
-            addHoleRow(table, list[i]);
-            continue;
+    if (!opts.statsJson.empty()) {
+        obs::ManifestInfo info;
+        info.bench = fig.name;
+        info.jobs = opts.jobs;
+        info.wallSeconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() -
+                               sweep.start)
+                               .count();
+        if (opts.shard.active()) {
+            // Host-only provenance for `tps merge`: which slice this
+            // partial manifest covers, and the run's wall-clock span.
+            info.shard = sweep.plan.provenanceJson();
+            info.shard["startedUnixMs"] = sweep.startedUnixMs;
+            info.shard["wallSeconds"] = info.wallSeconds;
         }
-        SpeedupRow row = speedupRow(row_cells);
-        tps_sum.add(row.tps);
-        rmm_sum.add(row.rmm);
-        colt_sum.add(row.colt);
-        frac_sum.add(100.0 * row.tpsFracOfIdeal);
-        table.addRow({list[i], fmtDouble(row.tps, 3),
-                      fmtDouble(row.rmm, 3), fmtDouble(row.colt, 3),
-                      fmtDouble(row.idealSpeedup, 3),
-                      fmtPercent(100.0 * row.tpsFracOfIdeal)});
+        obs::writeManifest(opts.statsJson, info, sweep.artifacts);
+        std::fprintf(stderr, "wrote %zu-cell manifest to %s\n",
+                     sweep.artifacts.size(), opts.statsJson.c_str());
     }
-    size_t covered = tps_sum.count();
-    addSummaryRow(opts, table, "mean", covered, list.size(),
-                  {fmtDouble(tps_sum.mean(), 3),
-                   fmtDouble(rmm_sum.mean(), 3),
-                   fmtDouble(colt_sum.mean(), 3), "",
-                   fmtPercent(frac_sum.mean())});
-    printTable(opts, table);
+    if (!opts.tracePath.empty() && sweep.monitor) {
+        sweep.monitor->writeTrace(opts.tracePath);
+        std::fprintf(stderr, "wrote sweep trace to %s\n",
+                     opts.tracePath.c_str());
+    }
+    if (!opts.eventTracePath.empty()) {
+        if (sweep.traceCells.empty()) {
+            tps_warn("--event-trace=%s: no cells were traced (resumed "
+                     "cells record no events); writing an empty "
+                     "container",
+                     opts.eventTracePath.c_str());
+        }
+        size_t n = sweep.traceCells.size();
+        obs::writeTraceFile(opts.eventTracePath,
+                            std::move(sweep.traceCells));
+        std::fprintf(stderr, "wrote %zu-cell event trace to %s\n", n,
+                     opts.eventTracePath.c_str());
+    }
+    if (opts.profile) {
+        // Host wall-clock numbers: informative, never deterministic,
+        // never part of any manifest.
+        std::fprintf(stderr, "simulator self-profile (host time):\n");
+        for (unsigned i = 0; i < obs::kProfPhaseCount; ++i) {
+            auto phase = static_cast<obs::ProfPhase>(i);
+            const auto &e = sweep.profileTotal.entry(phase);
+            if (e.calls == 0)
+                continue;
+            std::fprintf(stderr,
+                         "  %-14s %12llu calls %10.3f ms  %8.1f ns/call\n",
+                         obs::profPhaseName(phase),
+                         static_cast<unsigned long long>(e.calls),
+                         e.ns / 1e6,
+                         e.calls ? double(e.ns) / double(e.calls) : 0.0);
+        }
+    }
+    size_t failed = 0;
+    for (const obs::CellArtifact &cell : sweep.artifacts) {
+        if (cell.status == core::CellStatus::Failed ||
+            cell.status == core::CellStatus::Timeout) {
+            ++failed;
+        }
+    }
+    if (failed == 0)
+        return 0;
+    std::fprintf(stderr, "%zu cell(s) failed or timed out; their rows "
+                         "print as %s\n", failed, kHole);
+    // A shard's failures are holes in its partial manifest, which
+    // `tps merge --require-complete` reports for the whole sweep.
+    return opts.shard.active() ? 0 : 1;
+}
 
-    if (!printsSummaries(opts))
-        return;
-    std::string label =
-        summaryLabel("mean improvement", covered, list.size());
-    if (covered == 0) {
-        std::printf("%s: %s\n", label.c_str(), kHole);
-        return;
-    }
-    std::printf("%s: tps %+.1f%%  rmm %+.1f%%  colt %+.1f%%\n",
-                label.c_str(), 100.0 * (tps_sum.mean() - 1.0),
-                100.0 * (rmm_sum.mean() - 1.0),
-                100.0 * (colt_sum.mean() - 1.0));
+} // namespace
+
+int
+runFigure(const std::string &name, int argc, char **argv)
+{
+    const Figure &fig = findFigure(name);
+    FigOptions opts = parseArgs(argc, argv, fig.defaults);
+    std::vector<Cell> cells = fig.cells(opts);
+    Sweep sweep;
+    initSweep(sweep, fig, opts, cells);
+    std::printf("== %s: %s ==\n", fig.id.c_str(), fig.title.c_str());
+    std::printf("paper: %s\n\n", fig.paper.c_str());
+    std::fflush(stdout);
+    CellResults results = runCells(sweep, opts, cells);
+    fig.render(opts, cells, results);
+    return finishSweep(sweep, fig, opts);
 }
 
 } // namespace tps::bench

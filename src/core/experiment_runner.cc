@@ -1,6 +1,7 @@
 #include "core/experiment_runner.hh"
 
 #include <chrono>
+#include <numeric>
 
 #include "util/sim_error.hh"
 
@@ -22,9 +23,16 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                              const SweepPolicy &policy)
 {
     obs::SweepMonitor *monitor = monitor_;
+    // Map over indices so each cell can look up its census flag.  map()
+    // waits for every cell, so the references outlive the tasks.
+    std::vector<size_t> index(cells.size());
+    std::iota(index.begin(), index.end(), size_t(0));
     return map(
-        cells,
-        [policy, monitor](const RunOptions &opts) {
+        index,
+        [&cells, &policy, monitor](size_t i) {
+            const RunOptions &opts = cells[i];
+            const bool census_on =
+                i < policy.census.size() && policy.census[i];
             CellOutcome out;
             if (policy.eventTrace)
                 out.trace = std::make_unique<obs::EventTrace>();
@@ -32,7 +40,7 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                 out.profile = std::make_unique<obs::ProfileRegistry>();
             Census census;
             RunHooks hooks{out.trace.get(), out.profile.get(), nullptr,
-                           policy.census ? &census : nullptr};
+                           census_on ? &census : nullptr};
             auto start = std::chrono::steady_clock::now();
             for (unsigned attempt = 0; attempt <= policy.retries;
                  ++attempt) {
@@ -43,7 +51,7 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                     out.trace->clear();
                 try {
                     out.stats = runExperiment(opts, hooks);
-                    if (policy.census)
+                    if (census_on)
                         out.census = std::move(census);
                     out.status = CellStatus::Ok;
                     out.error.clear();
@@ -75,9 +83,7 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                                   out.seconds * 1e3);
             return out;
         },
-        [](const RunOptions &opts, size_t) {
-            return cellLabel(opts);
-        });
+        [&cells](size_t i, size_t) { return cellLabel(cells[i]); });
 }
 
 } // namespace tps::core

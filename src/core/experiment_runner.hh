@@ -51,8 +51,11 @@ struct SweepPolicy
     /** Allocate a per-cell ProfileRegistry (CellOutcome::profile). */
     bool profile = false;
 
-    /** Capture each cell's end-of-run Census (CellOutcome::census). */
-    bool census = false;
+    /**
+     * Capture cell i's end-of-run Census (CellOutcome::census) when
+     * census[i]; cells past the end of the vector capture none.
+     */
+    std::vector<bool> census;
 };
 
 /** Outcome of one cell of a guarded sweep. */

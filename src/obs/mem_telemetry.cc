@@ -6,6 +6,7 @@
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
 #include "os/phys_memory.hh"
+#include "util/sim_error.hh"
 
 namespace tps::obs {
 
@@ -71,13 +72,77 @@ histogramJson(const Histogram &h)
     return arr;
 }
 
-Histogram
-histogramFromJson(const Json &j)
+// The stats.mem readers: a member that is missing or of the wrong kind
+// is a SimError (a malformed manifest), never a panic.
+
+[[noreturn]] void
+badMember(const char *key)
 {
+    throwSimError(ErrorKind::InvalidArgument,
+                  "stats.mem member '%s' is missing or malformed", key);
+}
+
+const Json &
+memberAt(const Json &j, const char *key)
+{
+    const Json *v = j.find(key);
+    if (!v)
+        badMember(key);
+    return *v;
+}
+
+uint64_t
+uintOf(const Json &v, const char *key)
+{
+    if (v.kind() != Json::Kind::UInt &&
+        !(v.kind() == Json::Kind::Int && v.asInt() >= 0)) {
+        badMember(key);
+    }
+    return v.asUInt();
+}
+
+double
+doubleOf(const Json &v, const char *key)
+{
+    if (v.kind() != Json::Kind::UInt && v.kind() != Json::Kind::Int &&
+        v.kind() != Json::Kind::Double) {
+        badMember(key);
+    }
+    return v.asDouble();
+}
+
+const Json &
+arrayOf(const Json &v, const char *key)
+{
+    if (v.kind() != Json::Kind::Array)
+        badMember(key);
+    return v;
+}
+
+uint64_t
+uintAt(const Json &j, const char *key)
+{
+    return uintOf(memberAt(j, key), key);
+}
+
+/** Element @p i of the array @p arr, itself a [uint, uint] pair. */
+std::pair<uint64_t, uint64_t>
+pairAt(const Json &arr, size_t i, const char *key)
+{
+    const Json &pair = arrayOf(arr.at(i), key);
+    if (pair.size() != 2)
+        badMember(key);
+    return {uintOf(pair.at(size_t(0)), key), uintOf(pair.at(1), key)};
+}
+
+Histogram
+histogramAt(const Json &j, const char *key)
+{
+    const Json &arr = arrayOf(memberAt(j, key), key);
     Histogram h;
-    for (size_t i = 0; i < j.size(); ++i) {
-        const Json &pair = j.at(i);
-        h.add(pair.at(size_t(0)).asUInt(), pair.at(1).asUInt());
+    for (size_t i = 0; i < arr.size(); ++i) {
+        auto [bucket, count] = pairAt(arr, i, key);
+        h.add(bucket, count);
     }
     return h;
 }
@@ -119,27 +184,25 @@ MemEpochSample
 MemEpochSample::fromJson(const Json &j)
 {
     MemEpochSample s;
-    s.accesses = j.at("accesses").asUInt();
-    s.totalFrames = j.at("totalFrames").asUInt();
-    s.freeFrames = j.at("freeFrames").asUInt();
-    s.tableFrames = j.at("tableFrames").asUInt();
-    s.appFrames = j.at("appFrames").asUInt();
-    s.reservedFrames = j.at("reservedFrames").asUInt();
-    const Json &orders = j.at("freeByOrder");
+    s.accesses = uintAt(j, "accesses");
+    s.totalFrames = uintAt(j, "totalFrames");
+    s.freeFrames = uintAt(j, "freeFrames");
+    s.tableFrames = uintAt(j, "tableFrames");
+    s.appFrames = uintAt(j, "appFrames");
+    s.reservedFrames = uintAt(j, "reservedFrames");
+    const Json &orders = arrayOf(memberAt(j, "freeByOrder"), "freeByOrder");
     for (size_t i = 0; i < orders.size(); ++i)
-        s.freeByOrder.push_back(orders.at(i).asUInt());
-    const Json &frag = j.at("extFrag");
+        s.freeByOrder.push_back(uintOf(orders.at(i), "freeByOrder"));
+    const Json &frag = arrayOf(memberAt(j, "extFrag"), "extFrag");
     for (size_t i = 0; i < frag.size(); ++i)
-        s.extFrag.push_back(frag.at(i).asDouble());
-    s.contiguity = j.at("contiguity").asDouble();
-    const Json &cens = j.at("census");
+        s.extFrag.push_back(doubleOf(frag.at(i), "extFrag"));
+    s.contiguity = doubleOf(memberAt(j, "contiguity"), "contiguity");
+    const Json &cens = arrayOf(memberAt(j, "census"), "census");
     for (size_t i = 0; i < cens.size(); ++i) {
-        const Json &pair = cens.at(i);
-        s.census.emplace_back(
-            static_cast<unsigned>(pair.at(size_t(0)).asUInt()),
-            pair.at(1).asUInt());
+        auto [bits, pages] = pairAt(cens, i, "census");
+        s.census.emplace_back(static_cast<unsigned>(bits), pages);
     }
-    s.reservations = j.at("reservations").asUInt();
+    s.reservations = uintAt(j, "reservations");
     return s;
 }
 
@@ -160,12 +223,12 @@ MemLifecycle
 MemLifecycle::fromJson(const Json &j)
 {
     MemLifecycle l;
-    l.created = j.at("created").asUInt();
-    l.promoted = j.at("promoted").asUInt();
-    l.broken = j.at("broken").asUInt();
-    l.ageAtPromotion = histogramFromJson(j.at("ageAtPromotion"));
-    l.ageAtBreak = histogramFromJson(j.at("ageAtBreak"));
-    l.fillAtPromotion = histogramFromJson(j.at("fillAtPromotion"));
+    l.created = uintAt(j, "created");
+    l.promoted = uintAt(j, "promoted");
+    l.broken = uintAt(j, "broken");
+    l.ageAtPromotion = histogramAt(j, "ageAtPromotion");
+    l.ageAtBreak = histogramAt(j, "ageAtBreak");
+    l.fillAtPromotion = histogramAt(j, "fillAtPromotion");
     return l;
 }
 
@@ -184,10 +247,11 @@ MemCompactionYield
 MemCompactionYield::fromJson(const Json &j)
 {
     MemCompactionYield c;
-    c.passes = j.at("passes").asUInt();
-    c.movedFrames = j.at("movedFrames").asUInt();
-    c.mergedPages = j.at("mergedPages").asUInt();
-    c.contiguityRecovered = j.at("contiguityRecovered").asDouble();
+    c.passes = uintAt(j, "passes");
+    c.movedFrames = uintAt(j, "movedFrames");
+    c.mergedPages = uintAt(j, "mergedPages");
+    c.contiguityRecovered =
+        doubleOf(memberAt(j, "contiguityRecovered"), "contiguityRecovered");
     return c;
 }
 
@@ -209,11 +273,11 @@ MemTelemetryData::fromJson(const Json &j)
 {
     MemTelemetryData d;
     d.enabled = true;
-    const Json &arr = j.at("samples");
+    const Json &arr = arrayOf(memberAt(j, "samples"), "samples");
     for (size_t i = 0; i < arr.size(); ++i)
         d.samples.push_back(MemEpochSample::fromJson(arr.at(i)));
-    d.lifecycle = MemLifecycle::fromJson(j.at("lifecycle"));
-    d.compaction = MemCompactionYield::fromJson(j.at("compaction"));
+    d.lifecycle = MemLifecycle::fromJson(memberAt(j, "lifecycle"));
+    d.compaction = MemCompactionYield::fromJson(memberAt(j, "compaction"));
     return d;
 }
 

@@ -35,6 +35,7 @@
 
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
+#include "obs/run_manifest.hh"
 #include "temp_path.hh"
 
 namespace {
@@ -150,8 +151,29 @@ TEST(CliContract, ReportRejectsBadInvocations)
     writeText(truncated, "{\"format\":\"tps-run-man");
     expectFails(std::string(TPS_BIN " report") + " " + truncated,
                 "cannot read manifest");
+
+    // A cell whose stats.mem section lacks its lifecycle.
+    tps::obs::CellArtifact art;
+    art.options.workload = "gups";
+    art.stats.mem.enabled = true;
+    tps::obs::ManifestInfo info;
+    info.bench = "no_lifecycle";
+    Json manifest = tps::obs::manifestJson(info, {art});
+    Json cell = manifest.at("cells").at(0);
+    Json mem = Json::object();
+    for (const auto &[key, value] : cell.at("stats").at("mem").members())
+        if (key != "lifecycle")
+            mem[key] = value;
+    cell["stats"]["mem"] = mem;
+    manifest["cells"] = Json::array();
+    manifest["cells"].push(cell);
+    std::string no_lifecycle = tempPath("no_lifecycle.json");
+    tps::obs::writeJsonFile(no_lifecycle, manifest);
+    expectFails(std::string(TPS_BIN " report") + " " + no_lifecycle,
+                "fatal: stats.mem member 'lifecycle'");
     std::remove(foreign.c_str());
     std::remove(truncated.c_str());
+    std::remove(no_lifecycle.c_str());
 }
 
 TEST(CliContract, MergeRejectsBadInvocations)
@@ -195,10 +217,21 @@ TEST(CliContract, EmptyFlagValuesAreRejected)
           tps + " watch dir --interval="}) {
         expectFails(cmd, "needs a value");
     }
+    // The benches' list flag: an empty list would silently run the
+    // whole suite.
+    for (const char *list : {"", ","}) {
+        expectFails(std::string(FIG10_BIN) + " --benchmarks=" + list,
+                    "--benchmarks needs a value");
+    }
+    // ablations reads two names; a third would be dropped silently.
+    expectFails(std::string(ABLATIONS_BIN) + " --benchmarks=gups,mcf,gcc",
+                "at most two --benchmarks names");
     expectFails(tps + " analyze report x.trace --seed=1",
                 "unknown option");
     expectFails(tps, "expected a subcommand");
     expectFails(tps + " frobnicate", "expected a subcommand");
+    expectFails(tps + " fig nosuch",
+                "unknown figure 'nosuch' (one of: fig02_pagewalk_overhead, ");
 }
 
 TEST(CliContract, NonFiniteIntervalIsRejected)

@@ -495,12 +495,13 @@ TEST(Resume, RejectedByMergeLoadsNothing)
 TEST(Resume, UnreadableStatsLoadsNothing)
 {
     // An ok cell whose stats tree is missing, lacks a required counter
-    // or holds a non-counter: the file loads nothing, even its good
-    // cell, and says which cell failed.
+    // or a stats.mem section, or holds a non-counter: the file loads
+    // nothing, even its good cell, and says which cell failed.
     obs::CellArtifact good;
     good.options = smallRun("gups", core::Design::Thp);
     obs::CellArtifact bad;
     bad.options = smallRun("gups", core::Design::Tps);
+    bad.stats.mem.enabled = true;
     obs::ManifestInfo info;
     info.bench = "unreadable";
     info.includeHost = false;
@@ -508,11 +509,14 @@ TEST(Resume, UnreadableStatsLoadsNothing)
     const obs::Json &bad_cell = manifest.at("cells").at(1);
     obs::Json wrong_kind = without(bad_cell, "stats.engine.cycles");
     wrong_kind["stats"]["engine"]["cycles"] = std::string("many");
+    obs::Json wrong_mem = without(bad_cell, "stats.mem.compaction.passes");
+    wrong_mem["stats"]["mem"]["compaction"]["passes"] = -1;
 
     const std::string path = scratchPath("unreadable");
     for (const obs::Json &cell :
          {without(bad_cell, "stats"),
-          without(bad_cell, "stats.mmu.walk.memRefs"), wrong_kind}) {
+          without(bad_cell, "stats.mmu.walk.memRefs"), wrong_kind,
+          without(bad_cell, "stats.mem.lifecycle"), wrong_mem}) {
         obs::Json doc = without(manifest, "cells");
         doc["cells"].push(manifest.at("cells").at(0));
         doc["cells"].push(cell);

@@ -1,6 +1,12 @@
 /**
  * @file
- * tps: the one front door to the offline tools over run artifacts.
+ * tps: the one front door to the figure benches and to the offline
+ * tools over run artifacts.
+ *
+ *   tps fig <name> [flags]
+ *       Run one figure bench (bench/figures.cc): the same table, flags,
+ *       output and manifest `bench` name as build/bench/<name>.
+ *       `tps fig nosuch` lists the figure names.
  *
  *   tps merge <partial.json>... [--out=<path>] [--json]
  *             [--require-complete]
@@ -38,7 +44,8 @@
  *       requires the trace's measured miss count to equal the
  *       manifest's mmu.l1.misses -- a mismatch is a hard error.
  *
- * Every subcommand parses its flags the same way: "--name=<value>"
+ * `tps fig` takes the figure benches' flags.  Every other subcommand
+ * parses its flags the same way: "--name=<value>"
  * options reject an empty value (an unset shell variable must not
  * silently drop the option), unknown options are fatal, and any error
  * is one "fatal:" line on stderr with a non-zero exit.
@@ -59,6 +66,7 @@
 #include <thread>
 #include <vector>
 
+#include "fig_common.hh"
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
@@ -73,7 +81,9 @@ using namespace tps;
 namespace {
 
 const char *const kUsage =
-    "usage: tps merge <partial.json>... [--out=<path>] [--json] "
+    "usage: tps fig <name> [--scale=<f>] [--csv] [--jobs=<n>] ... "
+    "(tps fig <name> --help lists them)\n"
+    "       tps merge <partial.json>... [--out=<path>] [--json] "
     "[--require-complete]\n"
     "       tps watch <dir> [--interval=<sec>] [--once] [--json]\n"
     "       tps report <manifest.json>... [--csv=<path>] [--md=<path>] "
@@ -603,6 +613,10 @@ int
 main(int argc, char **argv)
 {
     std::string sub = argc > 1 ? argv[1] : "";
+    // A figure parses its own flags: argv[2] is its name, argv[3..] the
+    // flags a figure binary takes.
+    if (sub == "fig")
+        return bench::runFigure(argc > 2 ? argv[2] : "", argc - 2, argv + 2);
     // Library code throws SimError on unreadable or malformed inputs;
     // the CLI surfaces that as the standard one-line fatal, never as
     // an uncaught-exception abort.
@@ -626,6 +640,6 @@ main(int argc, char **argv)
         std::fputs(kUsage, stdout);
         return 0;
     }
-    tps_fatal("expected a subcommand: merge, watch, report or analyze, "
+    tps_fatal("expected a subcommand: fig, merge, watch, report or analyze, "
               "got '%s' (try --help)", sub.c_str());
 }
