@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 
 #include "core/experiment_runner.hh"
@@ -32,6 +33,10 @@ struct Sweep
     obs::ResumeLog resume;  //!< empty unless --resume found a manifest
     //! --shard: the full planned grid plus this process's slice.
     obs::ShardPlan plan;
+    //! Per cell: the first cell of the grid with the same identity
+    //! (itself when unique).  Only first copies are planned and run;
+    //! every copy gets the first copy's result.
+    std::vector<size_t> firstCopy;
     std::vector<bool> owned;  //!< per cell: this process runs it
     std::vector<obs::CellArtifact> artifacts;
     //! --event-trace: per-cell event traces.
@@ -89,10 +94,6 @@ parseArgs(int argc, char **argv, FigOptions opts)
             opts.statsJson = arg + 13;
             if (opts.statsJson.empty())
                 tps_fatal("--stats-json needs a path");
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            opts.tracePath = arg + 8;
-            if (opts.tracePath.empty())
-                tps_fatal("--trace needs a path");
         } else if (std::strcmp(arg, "--progress") == 0) {
             opts.progress = true;
         } else if (std::strcmp(arg, "--paranoid") == 0) {
@@ -150,7 +151,7 @@ parseArgs(int argc, char **argv, FigOptions opts)
             std::printf(
                 "options: --scale=<f> --phys-gb=<n> --csv --jobs=<n> "
                 "--benchmarks=a,b,c --epochs=<n> --stats-json=<path> "
-                "--trace=<path> --progress --paranoid --check-every=<n> "
+                "--progress --paranoid --check-every=<n> "
                 "--cell-timeout=<sec> --retries=<n> --resume "
                 "--event-trace=<path> --profile "
                 "--mem-telemetry --footprint=<size[kmgt]> "
@@ -179,29 +180,33 @@ findFigure(const std::string &name)
 }
 
 /**
- * Plan the grid, then set up the monitor and the --resume log.  Every
- * shard plans the full grid, so the fingerprints match, and keeps only
- * the cells it owns.
+ * Plan the grid, then set up the monitor and the --resume log.  A cell
+ * whose identity an earlier cell already has is a copy: it is planned,
+ * run and recorded once.  Every shard plans the full grid, so the
+ * fingerprints match, and keeps only the cells it owns.
  */
 void
 initSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts,
           const std::vector<Cell> &cells)
 {
     sweep.plan = obs::ShardPlan(opts.shard);
-    for (const Cell &cell : cells)
-        sweep.owned.push_back(sweep.plan.planCell(cell.run));
-    if (!opts.tracePath.empty() || opts.progress ||
-        !opts.heartbeatPath.empty()) {
+    std::map<std::string, size_t> first;  // cell identity -> first copy
+    for (size_t i = 0; i < cells.size(); ++i) {
+        auto [it, unique] =
+            first.emplace(obs::cellIdentity(cells[i].run), i);
+        sweep.firstCopy.push_back(it->second);
+        sweep.owned.push_back(unique && sweep.plan.planCell(cells[i].run));
+    }
+    if (opts.progress || !opts.heartbeatPath.empty()) {
         obs::SweepMonitor::Config mcfg;
         mcfg.bench = fig.name;
         mcfg.progress = opts.progress;
         mcfg.heartbeatPath = opts.heartbeatPath;
         mcfg.heartbeatIntervalSeconds = opts.heartbeatInterval;
+        mcfg.shard = opts.shard;
+        if (opts.shard.active())
+            mcfg.gridFingerprint = sweep.plan.gridFingerprint();
         sweep.monitor = std::make_unique<obs::SweepMonitor>(mcfg);
-        if (opts.shard.active()) {
-            sweep.monitor->setShard(opts.shard.index, opts.shard.count,
-                                    sweep.plan.gridFingerprint());
-        }
     }
     if (opts.resume) {
         if (opts.statsJson.empty())
@@ -229,10 +234,17 @@ CellResults
 runCells(Sweep &sweep, const FigOptions &opts,
          const std::vector<Cell> &cells)
 {
+    // A first copy captures a census when any of its copies asks.
+    std::vector<bool> census(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (cells[i].census)
+            census[sweep.firstCopy[i]] = true;
+    }
     // Restore completed cells from the prior manifest; only the rest
     // go to the pool.  The manifest holds no census, so census cells
-    // always run.  Unowned cells are skipped before the resume lookup:
-    // --resume + --shard restores only cells this shard owns.
+    // always run.  Unowned cells (and copies) are skipped before the
+    // resume lookup: --resume + --shard restores only cells this shard
+    // owns.
     std::vector<obs::CellArtifact> arts(cells.size());
     CellResults results(cells.size());
     std::vector<core::RunOptions> to_run;
@@ -242,7 +254,7 @@ runCells(Sweep &sweep, const FigOptions &opts,
         if (!sweep.owned[i])
             continue;
         const obs::ResumedCell *prior =
-            cells[i].census ? nullptr : sweep.resume.find(cells[i].run);
+            census[i] ? nullptr : sweep.resume.find(cells[i].run);
         if (prior) {
             // A Resumed artifact carries the prior cell JSON verbatim.
             obs::CellArtifact &cell = arts[i];
@@ -255,7 +267,7 @@ runCells(Sweep &sweep, const FigOptions &opts,
         } else {
             to_run.push_back(cells[i].run);
             to_run_idx.push_back(i);
-            policy.census.push_back(cells[i].census);
+            policy.census.push_back(census[i]);
         }
     }
 
@@ -303,18 +315,21 @@ runCells(Sweep &sweep, const FigOptions &opts,
 
     // Record in input order so the manifest layout is independent of
     // pool scheduling (the golden test compares it across --jobs).
-    // Unowned cells get no manifest entry.
+    // Unowned cells and copies get no manifest entry; a copy gets its
+    // first copy's result.
     for (size_t i = 0; i < arts.size(); ++i) {
         if (sweep.owned[i])
             sweep.artifacts.push_back(std::move(arts[i]));
+        if (sweep.firstCopy[i] != i)
+            results[i] = results[sweep.firstCopy[i]];
     }
     return results;
 }
 
 /**
  * Write the artifacts the command line asked for (--stats-json
- * manifest, --trace Chrome trace, --event-trace container, --profile
- * stderr report) and return the exit status runFigure() documents.
+ * manifest, --event-trace container, --profile stderr report) and
+ * return the exit status runFigure() documents.
  */
 int
 finishSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts)
@@ -345,11 +360,6 @@ finishSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts)
         obs::writeManifest(opts.statsJson, info, sweep.artifacts);
         std::fprintf(stderr, "wrote %zu-cell manifest to %s\n",
                      sweep.artifacts.size(), opts.statsJson.c_str());
-    }
-    if (!opts.tracePath.empty() && sweep.monitor) {
-        sweep.monitor->writeTrace(opts.tracePath);
-        std::fprintf(stderr, "wrote sweep trace to %s\n",
-                     opts.tracePath.c_str());
     }
     if (!opts.eventTracePath.empty()) {
         if (sweep.traceCells.empty()) {

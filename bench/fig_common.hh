@@ -32,7 +32,6 @@ struct FigOptions
     unsigned jobs = 0;         //!< worker threads; 0 = hw concurrency
     std::vector<std::string> benchmarks;  //!< default: evaluation suite
     std::string statsJson;     //!< write a run manifest here
-    std::string tracePath;     //!< write a Chrome trace here
     bool progress = false;     //!< live per-cell progress on stderr
     unsigned retries = 0;      //!< extra attempts for a failed cell
     bool resume = false;       //!< skip cells already in --stats-json
@@ -65,8 +64,9 @@ struct CellResult
 /**
  * A sweep's output, index-aligned with its cells and bit-identical for
  * any job count (each cell's seeds derive from its own identity).  A
- * cell that did not produce data is a *hole*: an empty entry, never
- * zeroed stats.
+ * cell whose identity an earlier cell of the grid has runs, and is
+ * recorded, once; both entries hold that one result.  A cell that did
+ * not produce data is a *hole*: an empty entry, never zeroed stats.
  *  - A failed or timed-out cell (after --retries extra attempts) is
  *    recorded as a failed/timeout manifest entry, warned about in one
  *    stderr line, and makes an unsharded run exit 1.
@@ -104,11 +104,12 @@ const std::vector<Figure> &figures();
  * Run the figure bench @p name with the flags in argv[1..argc) and
  * return its exit status.  The flags: --scale=<f>, --phys-gb=<n>,
  * --csv, --jobs=<n>, --benchmarks=a,b,c, --epochs=<n>,
- * --stats-json=<path>, --trace=<path>, --progress, --paranoid,
- * --check-every=<n>, --cell-timeout=<sec>, --retries=<n>, --resume,
- * --event-trace=<path>, --profile, --mem-telemetry,
- * --footprint=<size[kmgt]>, --dense-state, --shard=i/N,
- * --heartbeat=<path>, --heartbeat-interval=<sec>.  Values are parsed
+ * --stats-json=<path>, --progress, --paranoid, --check-every=<n>,
+ * --cell-timeout=<sec>, --retries=<n>, --resume, --event-trace=<path>,
+ * --profile, --mem-telemetry, --footprint=<size[kmgt]>, --dense-state,
+ * --shard=i/N, --heartbeat=<path>, --heartbeat-interval=<sec>.
+ * --progress and --heartbeat render the same sweep counters (see
+ * obs/sweep_monitor.hh).  Values are parsed
  * strictly; an unknown figure or flag, or a bad or empty value, is one
  * "fatal:" line and exit 1.  The status is 1 when any cell of an
  * unsharded run failed or timed out, else 0: a shard exits 0 either

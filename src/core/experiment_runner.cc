@@ -1,7 +1,6 @@
 #include "core/experiment_runner.hh"
 
 #include <chrono>
-#include <numeric>
 
 #include "util/sim_error.hh"
 
@@ -23,12 +22,11 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                              const SweepPolicy &policy)
 {
     obs::SweepMonitor *monitor = monitor_;
-    // Map over indices so each cell can look up its census flag.  map()
-    // waits for every cell, so the references outlive the tasks.
-    std::vector<size_t> index(cells.size());
-    std::iota(index.begin(), index.end(), size_t(0));
-    return map(
-        index,
+    // Map over indices so each cell can look up its census flag.
+    // mapIndex() waits for every cell, so the references outlive the
+    // tasks.
+    return mapIndex(
+        cells.size(),
         [&cells, &policy, monitor](size_t i) {
             const RunOptions &opts = cells[i];
             const bool census_on =
@@ -75,15 +73,11 @@ ExperimentRunner::runGuarded(const std::vector<RunOptions> &cells,
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-            // Still inside the map() span: stamp its trace-event args
-            // so retried, failed and slow cells stand out in the
-            // timeline.
             if (monitor)
-                monitor->annotate(out.attempts, out.errorKind,
-                                  out.seconds * 1e3);
+                monitor->cellDone(cellLabel(opts), out.attempts,
+                                  out.status != CellStatus::Ok);
             return out;
-        },
-        [&cells](size_t i, size_t) { return cellLabel(cells[i]); });
+        });
 }
 
 } // namespace tps::core

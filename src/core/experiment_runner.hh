@@ -84,18 +84,17 @@ class ExperimentRunner
     unsigned jobs() const { return pool_.threads(); }
 
     /**
-     * Attach a sweep monitor: every subsequently mapped cell is
-     * wrapped in a trace span (and counts toward progress/ETA).  The
-     * monitor must outlive the runner's sweeps; nullptr detaches.
+     * Attach a sweep monitor: every subsequently mapped cell counts
+     * toward its planned and done totals.  The monitor must outlive
+     * the runner's sweeps; nullptr detaches.
      */
     void setMonitor(obs::SweepMonitor *monitor) { monitor_ = monitor; }
-    obs::SweepMonitor *monitor() const { return monitor_; }
 
     /**
      * Run every cell through runExperiment() on the pool; the result
      * vector is index-aligned with @p cells.  The first cell failure
-     * (if any) is rethrown in the caller's thread.  Spans are labeled
-     * with cellLabel().
+     * (if any) is rethrown in the caller's thread.  Cells report to the
+     * monitor by cellLabel().
      */
     std::vector<sim::SimStats> run(const std::vector<RunOptions> &cells);
 
@@ -114,48 +113,49 @@ class ExperimentRunner
     /**
      * Order-preserving parallel map: `out[i] = fn(items[i])`, with the
      * calls distributed over the pool.  @p fn must be safe to invoke
-     * concurrently from multiple threads (per-cell state only).
-     * @p labelFn names each item's trace span: label(item, index).
+     * concurrently from multiple threads (per-cell state only).  Each
+     * call that returns reports to the monitor as one cell named
+     * labelFn(item, i).  The first exception a call throws is rethrown
+     * in the caller's thread.
      */
     template <typename T, typename Fn, typename LabelFn>
     auto
     map(const std::vector<T> &items, Fn fn, LabelFn labelFn)
         -> std::vector<std::invoke_result_t<Fn, const T &>>
     {
-        using R = std::invoke_result_t<Fn, const T &>;
         obs::SweepMonitor *monitor = monitor_;
-        if (monitor)
-            monitor->addPlanned(items.size());
+        return mapIndex(items.size(), [&items, fn, labelFn,
+                                       monitor](size_t i) {
+            auto result = fn(items[i]);
+            if (monitor)
+                monitor->cellDone(labelFn(items[i], i), 1, false);
+            return result;
+        });
+    }
+
+  private:
+    /**
+     * `out[i] = fn(i)` for every i < n on the pool, in index order;
+     * grows the monitor's plan by n, and @p fn reports each cell.
+     */
+    template <typename Fn>
+    auto
+    mapIndex(size_t n, Fn fn) -> std::vector<std::invoke_result_t<Fn, size_t>>
+    {
+        using R = std::invoke_result_t<Fn, size_t>;
+        if (monitor_)
+            monitor_->addPlanned(n);
         std::vector<std::future<R>> futures;
-        futures.reserve(items.size());
-        for (size_t i = 0; i < items.size(); ++i) {
-            const T &item = items[i];
-            std::string label = labelFn(item, i);
-            futures.push_back(pool_.submit(
-                [fn, &item, monitor, label = std::move(label)] {
-                    obs::SweepMonitor::Scope span(monitor, label);
-                    return fn(item);
-                }));
-        }
+        futures.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            futures.push_back(pool_.submit([fn, i] { return fn(i); }));
         std::vector<R> out;
-        out.reserve(items.size());
+        out.reserve(n);
         for (auto &f : futures)
             out.push_back(f.get());
         return out;
     }
 
-    /** map() with spans labeled "cell <index>". */
-    template <typename T, typename Fn>
-    auto
-    map(const std::vector<T> &items, Fn fn)
-        -> std::vector<std::invoke_result_t<Fn, const T &>>
-    {
-        return map(items, fn, [](const T &, size_t i) {
-            return "cell " + std::to_string(i);
-        });
-    }
-
-  private:
     util::TaskPool pool_;
     obs::SweepMonitor *monitor_ = nullptr;
 };

@@ -202,8 +202,8 @@ uint64_t runSeed(const RunOptions &opts);
  * "gcc/tps+skewed+tlb64".  Workload and design names contain neither
  * '/' nor '+', so the label splits back into its parts.  Keys an older
  * manifest lacks count as defaults, but a missing or non-string name
- * throws SimError{InvalidArgument}.  Sweep-monitor spans, event-trace
- * cells, shard grids, merge holes and reports all use this label, so
+ * throws SimError{InvalidArgument}.  Heartbeats, event-trace cells,
+ * shard grids, merge holes and reports all use this label, so
  * within one sweep two cells share a label exactly when they share an
  * identity.
  */

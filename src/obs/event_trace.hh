@@ -16,18 +16,14 @@
  * container file is written, which makes trace files byte-identical
  * for any --jobs count.
  *
- * Clock convention (shared with obs/sweep_monitor.hh): both tracing
- * layers timestamp relative to their own start-of-run zero.  The sweep
- * monitor records host wall-clock microseconds since sweep start (a
- * host-side, non-deterministic quantity); the event trace records the
- * *simulated access ordinal* -- the 1-based index of the engine access
- * being translated, counted from Engine::run() entry and never reset
- * (in particular not at the warmup boundary; a Mark event flags that
- * instead).  Events emitted during workload setup, before the first
- * access, carry time 0.  The two layers are joined not by clock but by
- * cell identity: a trace cell's (label, seed) pair matches the sweep
- * monitor's span label and the run manifest's cell label + seed (see
- * trace_analyze.hh for the manifest join).
+ * Clock convention: the event trace records the *simulated access
+ * ordinal* -- the 1-based index of the engine access being translated,
+ * counted from Engine::run() entry and never reset (in particular not
+ * at the warmup boundary; a Mark event flags that instead), never host
+ * time.  Events emitted during workload setup, before the first
+ * access, carry time 0.  A trace joins the run manifest not by clock
+ * but by cell identity: a trace cell's (label, seed) pair matches the
+ * manifest's cell label + seed (see trace_analyze.hh for the join).
  */
 
 #ifndef TPS_OBS_EVENT_TRACE_HH

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "util/logging.hh"
-#include "util/task_pool.hh"
 
 namespace tps::obs {
 
@@ -120,14 +119,6 @@ SweepMonitor::~SweepMonitor()
     }
 }
 
-uint64_t
-SweepMonitor::nowUs() const
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-}
-
 void
 SweepMonitor::addPlanned(size_t cells)
 {
@@ -136,204 +127,75 @@ SweepMonitor::addPlanned(size_t cells)
 }
 
 void
-SweepMonitor::setShard(unsigned index, unsigned count,
-                       const std::string &gridFingerprint)
+SweepMonitor::cellDone(const std::string &label, unsigned attempts,
+                       bool failed)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    shardIndex_ = index;
-    shardCount_ = count;
-    gridFingerprint_ = gridFingerprint;
-}
-
-uint64_t
-SweepMonitor::begin(const std::string &label)
-{
-    uint64_t start = nowUs();
-    std::lock_guard<std::mutex> lock(mu_);
-    Span span;
-    span.label = label;
-    span.worker = util::TaskPool::currentWorkerIndex();
-    span.startUs = start;
-    spans_.push_back(std::move(span));
-    return spans_.size() - 1;
-}
-
-void
-SweepMonitor::end(uint64_t id)
-{
-    uint64_t now = nowUs();
-    std::lock_guard<std::mutex> lock(mu_);
-    tps_assert(id < spans_.size() && !spans_[id].done);
-    spans_[id].endUs = now;
-    spans_[id].done = true;
     ++done_;
-    lastLabel_ = spans_[id].label;
-    if (cfg_.progress)
-        printProgress(spans_[id]);
-}
-
-void
-SweepMonitor::annotate(unsigned attempts, const std::string &errorKind,
-                       double wallMs)
-{
-    int worker = util::TaskPool::currentWorkerIndex();
-    std::lock_guard<std::mutex> lock(mu_);
     if (attempts > 1)
         retried_ += attempts - 1;
-    if (!errorKind.empty())
+    if (failed)
         ++failed_;
-    // The caller's open span is the newest not-yet-done one on its own
-    // worker: spans nest LIFO within a thread, so reverse scan finds it.
-    for (size_t i = spans_.size(); i-- > 0;) {
-        Span &span = spans_[i];
-        if (span.done || span.worker != worker)
-            continue;
-        span.attempts = attempts;
-        span.errorKind = errorKind;
-        span.wallMs = wallMs;
-        return;
-    }
+    lastLabel_ = label;
+    if (cfg_.progress)
+        printProgress();
 }
 
-size_t
-SweepMonitor::planned() const
+SweepMonitor::Rates
+SweepMonitor::rates() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return planned_;
-}
-
-size_t
-SweepMonitor::completed() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return done_;
+    // Called with mu_ held.  Throughput-based ETA: cells finish
+    // concurrently, so per-cell means would be pessimistic by the
+    // pool width.
+    Rates r;
+    r.elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count();
+    r.total = planned_ > done_ ? planned_ : done_;
+    r.cellsPerSec = r.elapsed > 0.0 ? double(done_) / r.elapsed : 0.0;
+    r.eta = r.cellsPerSec > 0.0 ? double(r.total - done_) / r.cellsPerSec
+                                : 0.0;
+    return r;
 }
 
 void
-SweepMonitor::printProgress(const Span &last) const
+SweepMonitor::printProgress() const
 {
     // Called with mu_ held.
-    size_t total = planned_ > done_ ? planned_ : done_;
-    double elapsed = double(nowUs()) / 1e6;
-    // Throughput-based ETA: cells finish concurrently, so per-span
-    // means would be pessimistic by the pool width.
-    double eta = done_ > 0 ? elapsed * double(total - done_) / double(done_)
-                           : 0.0;
-    double lastSec = double(last.endUs - last.startUs) / 1e6;
+    Rates r = rates();
     bool tty = isatty(fileno(stderr));
     std::fprintf(stderr, "%s[%s] %zu/%zu cells  elapsed %s  eta %s  "
-                         "(last: %s %s)%s",
-                 tty ? "\r\033[K" : "", cfg_.bench.c_str(), done_, total,
-                 fmtSeconds(elapsed).c_str(), fmtSeconds(eta).c_str(),
-                 last.label.c_str(), fmtSeconds(lastSec).c_str(),
-                 tty ? (done_ >= total ? "\n" : "") : "\n");
+                         "(last: %s)%s",
+                 tty ? "\r\033[K" : "", cfg_.bench.c_str(), done_,
+                 r.total, fmtSeconds(r.elapsed).c_str(),
+                 fmtSeconds(r.eta).c_str(), lastLabel_.c_str(),
+                 tty ? (done_ >= r.total ? "\n" : "") : "\n");
     std::fflush(stderr);
-}
-
-Json
-SweepMonitor::traceJson() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    Json root = Json::object();
-    root["displayTimeUnit"] = std::string("ms");
-    Json events = Json::array();
-
-    // Shard index flows into the pid (unsharded sweeps keep pid 1, the
-    // historical value) so per-shard trace files concatenated into one
-    // viewer land on distinct, ordered process rows.
-    uint64_t pid = 1 + shardIndex_;
-    std::string processName =
-        cfg_.bench.empty() ? std::string("sweep") : cfg_.bench;
-    if (shardCount_ > 1) {
-        processName += " [shard " + std::to_string(shardIndex_) + "/" +
-                       std::to_string(shardCount_) + "]";
-    }
-    Json process = Json::object();
-    process["name"] = std::string("process_name");
-    process["ph"] = std::string("M");
-    process["pid"] = pid;
-    process["tid"] = uint64_t(0);
-    process["args"]["name"] = processName;
-    events.push(std::move(process));
-    if (shardCount_ > 1) {
-        Json sort = Json::object();
-        sort["name"] = std::string("process_sort_index");
-        sort["ph"] = std::string("M");
-        sort["pid"] = pid;
-        sort["tid"] = uint64_t(0);
-        sort["args"]["sort_index"] = uint64_t(shardIndex_);
-        events.push(std::move(sort));
-    }
-
-    // One thread_name row per tid seen: tid 0 is the calling thread,
-    // tid w+1 is pool worker w.
-    int maxWorker = -1;
-    for (const Span &span : spans_)
-        if (span.worker > maxWorker)
-            maxWorker = span.worker;
-    for (int tid = 0; tid <= maxWorker + 1; ++tid) {
-        Json meta = Json::object();
-        meta["name"] = std::string("thread_name");
-        meta["ph"] = std::string("M");
-        meta["pid"] = pid;
-        meta["tid"] = uint64_t(tid);
-        meta["args"]["name"] =
-            tid == 0 ? std::string("caller")
-                     : "worker " + std::to_string(tid - 1);
-        events.push(std::move(meta));
-    }
-
-    for (const Span &span : spans_) {
-        if (!span.done)
-            continue;
-        Json ev = Json::object();
-        ev["name"] = span.label;
-        ev["ph"] = std::string("X");
-        ev["pid"] = pid;
-        ev["tid"] = uint64_t(span.worker + 1);
-        ev["ts"] = span.startUs;
-        ev["dur"] = span.endUs - span.startUs;
-        if (span.attempts != 0) {
-            ev["args"]["attempts"] = uint64_t(span.attempts);
-            if (!span.errorKind.empty())
-                ev["args"]["errorKind"] = span.errorKind;
-            if (span.wallMs > 0.0)
-                ev["args"]["wallMs"] = span.wallMs;
-        }
-        events.push(std::move(ev));
-    }
-    root["traceEvents"] = std::move(events);
-    return root;
 }
 
 Json
 SweepMonitor::heartbeatJson(bool finished) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    double elapsed = double(nowUs()) / 1e6;
-    double rate = elapsed > 0.0 ? double(done_) / elapsed : 0.0;
-    size_t total = planned_ > done_ ? planned_ : done_;
-    double eta =
-        rate > 0.0 ? double(total - done_) / rate : 0.0;
-
+    Rates r = rates();
     Json j = Json::object();
     j["format"] = std::string("tps-heartbeat");
     j["version"] = uint64_t(1);
     j["bench"] = cfg_.bench;
     j["pid"] = uint64_t(getpid());
     Json &shard = j["shard"];
-    shard["index"] = shardIndex_;
-    shard["count"] = shardCount_;
-    shard["gridFingerprint"] = gridFingerprint_;
+    shard["index"] = cfg_.shard.index;
+    shard["count"] = cfg_.shard.count;
+    shard["gridFingerprint"] = cfg_.gridFingerprint;
     j["intervalSeconds"] = cfg_.heartbeatIntervalSeconds;
     j["updatedUnixMs"] = unixMillis();
-    j["elapsedSeconds"] = elapsed;
+    j["elapsedSeconds"] = r.elapsed;
     j["planned"] = uint64_t(planned_);
     j["done"] = uint64_t(done_);
     j["failed"] = uint64_t(failed_);
     j["retried"] = uint64_t(retried_);
-    j["cellsPerSec"] = rate;
-    j["etaSeconds"] = finished ? 0.0 : eta;
+    j["cellsPerSec"] = r.cellsPerSec;
+    j["etaSeconds"] = finished ? 0.0 : r.eta;
     j["rssPeakBytes"] = peakRssBytes();
     j["lastCell"] = lastLabel_;
     j["finished"] = finished;
@@ -343,16 +205,10 @@ SweepMonitor::heartbeatJson(bool finished) const
 void
 SweepMonitor::writeHeartbeat(bool finished) const
 {
-    // Serialize outside any lock-holding caller: heartbeatJson() takes
-    // mu_ itself, the file write happens lock-free.
+    // heartbeatJson() takes mu_ itself; the file write happens
+    // lock-free.
     writeFileTolerant(cfg_.heartbeatPath,
                       heartbeatJson(finished).dump(2) + "\n");
-}
-
-void
-SweepMonitor::writeTrace(const std::string &path) const
-{
-    writeJsonFile(path, traceJson());
 }
 
 } // namespace tps::obs

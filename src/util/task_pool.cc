@@ -2,24 +2,11 @@
 
 namespace tps::util {
 
-namespace {
-
-//! -1 outside pool workers; the worker's 0-based index inside one.
-thread_local int tls_worker_index = -1;
-
-} // namespace
-
 unsigned
 TaskPool::hardwareThreads()
 {
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
-}
-
-int
-TaskPool::currentWorkerIndex()
-{
-    return tls_worker_index;
 }
 
 TaskPool::TaskPool(unsigned threads)
@@ -29,7 +16,7 @@ TaskPool::TaskPool(unsigned threads)
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back(
-            [this, i](std::stop_token stop) { workerLoop(i, stop); });
+            [this](std::stop_token stop) { workerLoop(stop); });
 }
 
 TaskPool::~TaskPool()
@@ -51,9 +38,8 @@ TaskPool::enqueue(std::function<void()> job)
 }
 
 void
-TaskPool::workerLoop(unsigned index, std::stop_token stop)
+TaskPool::workerLoop(std::stop_token stop)
 {
-    tls_worker_index = static_cast<int>(index);
     for (;;) {
         std::function<void()> job;
         {

@@ -66,17 +66,9 @@ class TaskPool
     /** The worker count `threads = 0` resolves to. */
     static unsigned hardwareThreads();
 
-    /**
-     * Index of the pool worker the calling thread is (0-based, stable
-     * for the pool's lifetime), or -1 when called from a thread that is
-     * not a pool worker.  Used by the sweep tracer to attribute cell
-     * spans to worker lanes.
-     */
-    static int currentWorkerIndex();
-
   private:
     void enqueue(std::function<void()> job);
-    void workerLoop(unsigned index, std::stop_token stop);
+    void workerLoop(std::stop_token stop);
 
     std::mutex mutex_;
     std::condition_variable_any cv_;

@@ -36,6 +36,7 @@
 #include "obs/event_trace.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
+#include "obs/shard.hh"
 #include "temp_path.hh"
 
 namespace {
@@ -228,6 +229,8 @@ TEST(CliContract, EmptyFlagValuesAreRejected)
                 "at most two --benchmarks names");
     expectFails(tps + " analyze report x.trace --seed=1",
                 "unknown option");
+    // The Chrome sweep trace is gone; its flag is an unknown option.
+    expectFails(std::string(FIG10_BIN) + " --trace=x", "unknown option");
     expectFails(tps, "expected a subcommand");
     expectFails(tps + " frobnicate", "expected a subcommand");
     expectFails(tps + " fig nosuch",
@@ -315,6 +318,30 @@ TEST(CliContract, BenchDefaultScaleYieldsToTheFlag)
     // fig16 defaults to quarter scale, and an explicit --scale=1 wins.
     EXPECT_EQ(fig16Scales(""), std::set<double>{0.25});
     EXPECT_EQ(fig16Scales(" --scale=1"), std::set<double>{1.0});
+}
+
+TEST(CliContract, AblationsRunsEachCellIdentityOnce)
+{
+    // ablations lists its default TPS cell under several tables (the
+    // 1.0 threshold and the 32-entry fully-associative TLB on the
+    // sparse workload, the pointer alias mode and the 32-entry TLB on
+    // the main one); each identity runs and is recorded once.
+    std::string manifest = tempPath("ablations_once.json");
+    Cmd result = run(std::string(ABLATIONS_BIN) +
+                     " --benchmarks=gups,mcf --scale=0.02 --phys-gb=1"
+                     " --stats-json=" + manifest);
+    ASSERT_EQ(result.exitCode, 0) << result.err;
+    Json doc = tps::obs::readJsonFile(manifest);
+    std::remove(manifest.c_str());
+    const Json &cells = doc.at("cells");
+    std::set<std::string> identities;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const Json &cell = cells.at(i);
+        identities.insert(tps::obs::cellIdentityFromJson(
+            cell.at("options"), cell.at("seed").asUInt()));
+    }
+    EXPECT_EQ(cells.size(), 13u);
+    EXPECT_EQ(identities.size(), 13u);
 }
 
 TEST(CliContract, ShardPrintsOnlyOwnedCells)
@@ -486,9 +513,7 @@ TEST(CellLabels, OneLabelPerCellIdentity)
 {
     // fig02 runs every workload native, with SMT and virtualized;
     // ablations varies threshold, alias mode, TLB geometry and MMU
-    // caches.  ablations plans its default TPS cell more than once
-    // (as the 1.0 threshold, the pointer alias mode and the 32-entry
-    // TLB), so the key is: same label exactly when same identity.
+    // caches.  The key is: same label exactly when same identity.
     for (const char *bench : {FIG02_BIN, ABLATIONS_BIN}) {
         Json grid = plannedGrid(bench);
         ASSERT_GT(grid.size(), 1u) << bench;
@@ -559,7 +584,9 @@ TEST(CellLabels, ToolsSeeVariantCells)
     std::remove(manifest.c_str());
     std::remove(trace.c_str());
 
-    // ablations: every one of its 15 cells is reported.
+    // ablations: every one of its 12 distinct cells is reported (with
+    // one workload, the 1.0 threshold, the pointer alias mode and the
+    // two 32-entry TLBs are one gcc/tps cell).
     std::string ablations = tempPath("ablations_variants.json");
     Cmd abl = run(std::string(ABLATIONS_BIN) +
                   " --benchmarks=gcc --scale=0.02 --phys-gb=1"
@@ -567,7 +594,7 @@ TEST(CellLabels, ToolsSeeVariantCells)
     ASSERT_EQ(abl.exitCode, 0) << abl.err;
     Cmd ablReport = run(std::string(TPS_BIN " report ") + ablations);
     ASSERT_EQ(ablReport.exitCode, 0) << ablReport.err;
-    EXPECT_EQ(ablReport.err.rfind("15 cells, ", 0), 0u) << ablReport.err;
+    EXPECT_EQ(ablReport.err.rfind("12 cells, ", 0), 0u) << ablReport.err;
     for (const char *row : {"gcc", "gcc+thr0.75", "gcc+thr0.5",
                             "gcc+thr0.25", "gcc+full-copy", "gcc+tlb8",
                             "gcc+tlb16", "gcc+tlb64", "gcc+skewed",

@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability layer: the JSON document model, the stat
  * table (sorted unique paths, each row nested in the stat tree with its
- * field's value), epoch sampling, run manifests and the sweep monitor.
+ * field's value), epoch sampling, run manifests, and the counts the
+ * experiment runner reports to a sweep monitor.
  */
 
 #include <gtest/gtest.h>
@@ -391,152 +392,36 @@ TEST(Manifest, OptionsAndIdentityArePinnedAcrossBuilds)
 
 // ------------------------------------------------------ sweep monitor
 
-TEST(SweepMonitor, SpansAndCounts)
-{
-    SweepMonitor mon;
-    mon.addPlanned(2);
-    EXPECT_EQ(mon.planned(), 2u);
-    EXPECT_EQ(mon.completed(), 0u);
-    uint64_t id = mon.begin("cell A");
-    mon.end(id);
-    {
-        SweepMonitor::Scope span(&mon, "cell B");
-    }
-    EXPECT_EQ(mon.completed(), 2u);
-}
-
-TEST(SweepMonitor, NullMonitorScopeIsNoop)
-{
-    SweepMonitor::Scope span(nullptr, "ignored");
-    // Destructor must not crash either.
-}
-
-TEST(SweepMonitor, TraceJsonShape)
-{
-    SweepMonitor mon;
-    {
-        SweepMonitor::Scope span(&mon, "wl/design");
-    }
-    Json trace = mon.traceJson();
-    EXPECT_EQ(trace.at("displayTimeUnit").asString(), "ms");
-    const Json &events = trace.at("traceEvents");
-    ASSERT_GT(events.size(), 0u);
-
-    bool sawSpan = false, sawCallerName = false;
-    for (size_t i = 0; i < events.size(); ++i) {
-        const Json &ev = events.at(i);
-        if (ev.at("ph").asString() == "X" &&
-            ev.at("name").asString() == "wl/design") {
-            sawSpan = true;
-            // Recorded on the calling thread: tid 0.
-            EXPECT_EQ(ev.at("tid").asUInt(), 0u);
-            EXPECT_EQ(ev.at("pid").asUInt(), 1u);
-            EXPECT_NE(ev.find("ts"), nullptr);
-            EXPECT_NE(ev.find("dur"), nullptr);
-        }
-        if (ev.at("ph").asString() == "M" &&
-            ev.at("name").asString() == "thread_name" &&
-            ev.at("args").at("name").asString() == "caller") {
-            sawCallerName = true;
-        }
-    }
-    EXPECT_TRUE(sawSpan);
-    EXPECT_TRUE(sawCallerName);
-}
-
-TEST(SweepMonitor, AnnotateAttachesTraceEventArgs)
-{
-    SweepMonitor mon;
-    {
-        SweepMonitor::Scope span(&mon, "flaky/cell");
-        mon.annotate(3, "Timeout", 12.5);
-    }
-    {
-        SweepMonitor::Scope span(&mon, "clean/cell");
-        // Unannotated spans must stay args-free.
-    }
-    Json trace = mon.traceJson();
-    const Json &events = trace.at("traceEvents");
-    bool sawAnnotated = false, sawClean = false;
-    for (size_t i = 0; i < events.size(); ++i) {
-        const Json &ev = events.at(i);
-        if (ev.at("ph").asString() != "X")
-            continue;
-        if (ev.at("name").asString() == "flaky/cell") {
-            sawAnnotated = true;
-            EXPECT_EQ(ev.at("args").at("attempts").asUInt(), 3u);
-            EXPECT_EQ(ev.at("args").at("errorKind").asString(),
-                      "Timeout");
-            // Final per-cell wall-ms, for triaging shard imbalance.
-            EXPECT_EQ(ev.at("args").at("wallMs").asDouble(), 12.5);
-        }
-        if (ev.at("name").asString() == "clean/cell") {
-            sawClean = true;
-            EXPECT_EQ(ev.find("args"), nullptr);
-        }
-    }
-    EXPECT_TRUE(sawAnnotated);
-    EXPECT_TRUE(sawClean);
-}
-
-TEST(SweepMonitor, ShardedTraceCarriesShardProcessMetadata)
-{
-    SweepMonitor mon;
-    mon.setShard(2, 4, "0123456789abcdef");
-    {
-        SweepMonitor::Scope span(&mon, "wl/design");
-    }
-    Json trace = mon.traceJson();
-    const Json &events = trace.at("traceEvents");
-    bool sawName = false, sawSort = false, sawSpan = false;
-    for (size_t i = 0; i < events.size(); ++i) {
-        const Json &ev = events.at(i);
-        // Every event lives on pid 1 + shard index, so per-shard
-        // traces concatenate into distinct process rows.
-        EXPECT_EQ(ev.at("pid").asUInt(), 3u);
-        if (ev.at("name").asString() == "process_name") {
-            sawName = true;
-            EXPECT_NE(ev.at("args").at("name").asString().find(
-                          "[shard 2/4]"),
-                      std::string::npos);
-        }
-        if (ev.at("name").asString() == "process_sort_index") {
-            sawSort = true;
-            EXPECT_EQ(ev.at("args").at("sort_index").asUInt(), 2u);
-        }
-        if (ev.at("ph").asString() == "X")
-            sawSpan = true;
-    }
-    EXPECT_TRUE(sawName);
-    EXPECT_TRUE(sawSort);
-    EXPECT_TRUE(sawSpan);
-}
-
-TEST(SweepMonitor, AttributesSpansToPoolWorkers)
+TEST(ExperimentRunner, MapKeepsOrderAndReportsEachCellOnce)
 {
     SweepMonitor mon;
     core::ExperimentRunner runner(2);
     runner.setMonitor(&mon);
     std::vector<int> items = {1, 2, 3, 4};
-    auto doubled = runner.map(items, [](int v) { return 2 * v; });
+    auto doubled = runner.map(
+        items, [](int v) { return 2 * v; },
+        [](int v, size_t) { return "item " + std::to_string(v); });
     EXPECT_EQ(doubled, (std::vector<int>{2, 4, 6, 8}));
-    EXPECT_EQ(mon.planned(), 4u);
-    EXPECT_EQ(mon.completed(), 4u);
+    Json beat = mon.heartbeatJson(false);
+    EXPECT_EQ(beat.at("planned").asUInt(), 4u);
+    EXPECT_EQ(beat.at("done").asUInt(), 4u);
+    EXPECT_EQ(beat.at("failed").asUInt(), 0u);
+    EXPECT_EQ(beat.at("lastCell").asString().rfind("item ", 0), 0u);
 
-    Json trace = mon.traceJson();
-    const Json &events = trace.at("traceEvents");
-    size_t spans = 0;
-    for (size_t i = 0; i < events.size(); ++i) {
-        const Json &ev = events.at(i);
-        if (ev.at("ph").asString() != "X")
-            continue;
-        ++spans;
-        // Pool workers 0..1 map to tids 1..2.
-        uint64_t tid = ev.at("tid").asUInt();
-        EXPECT_GE(tid, 1u);
-        EXPECT_LE(tid, 2u);
-    }
-    EXPECT_EQ(spans, 4u);
+    // A guarded cell reports once, with its attempts and its outcome.
+    core::RunOptions bad;
+    bad.workload = "nonexistent-workload";
+    core::SweepPolicy policy;
+    policy.retries = 1;
+    std::vector<core::CellOutcome> out = runner.runGuarded({bad}, policy);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].status, core::CellStatus::Failed);
+    beat = mon.heartbeatJson(false);
+    EXPECT_EQ(beat.at("planned").asUInt(), 5u);
+    EXPECT_EQ(beat.at("done").asUInt(), 5u);
+    EXPECT_EQ(beat.at("failed").asUInt(), 1u);
+    EXPECT_EQ(beat.at("retried").asUInt(), 1u);
+    EXPECT_EQ(beat.at("lastCell").asString(), core::cellLabel(bad));
 }
 
 } // namespace

@@ -196,17 +196,12 @@ TEST(Heartbeat, MonitorWritesAndFinalizesHeartbeatFile)
         cfg.bench = "fig_test";
         cfg.heartbeatPath = path;
         cfg.heartbeatIntervalSeconds = 0.02;
+        cfg.shard = ShardSpec{1, 2};
+        cfg.gridFingerprint = "deadbeefdeadbeef";
         SweepMonitor mon(cfg);
-        mon.setShard(1, 2, "deadbeefdeadbeef");
         mon.addPlanned(3);
-        {
-            SweepMonitor::Scope span(&mon, "gups/thp");
-            mon.annotate(3, "Timeout", 5.0);
-        }
-        {
-            SweepMonitor::Scope span(&mon, "gups/tps");
-            mon.annotate(1, "", 2.0);
-        }
+        mon.cellDone("gups/thp", 3, true);   // timed out after 3 attempts
+        mon.cellDone("gups/tps", 1, false);
         // Let the periodic writer fire at least once mid-run.
         std::this_thread::sleep_for(std::chrono::milliseconds(60));
         Json live = readJsonFile(path);
