@@ -8,10 +8,14 @@
 namespace tps::os {
 
 BuddyAllocator::BuddyAllocator(uint64_t total_frames, bool dense)
-    : totalFrames_(total_frames), freeFrames_(total_frames),
-      freeLists_(kMaxOrder + 1)
+    : totalFrames_(total_frames), freeFrames_(total_frames)
 {
     tps_assert(total_frames > 0);
+    // A block of order o starts at a multiple of 2^o and ends by
+    // total_frames, so its index pfn >> o is below total_frames >> o.
+    freeLists_.reserve(kMaxOrder + 1);
+    for (unsigned o = 0; o <= kMaxOrder; ++o)
+        freeLists_.emplace_back(total_frames >> o);
     // The initial free state is a run of maximal aligned blocks covering
     // [0, runEnd_) plus a descending power-of-two tail [runEnd_, total).
     // The run stays implicit; the tail (at most one block per order
@@ -36,7 +40,7 @@ BuddyAllocator::BuddyAllocator(uint64_t total_frames, bool dense)
 void
 BuddyAllocator::insertFree(Pfn pfn, unsigned order)
 {
-    freeLists_[order].insert(pfn);
+    freeLists_[order].insert(pfn >> order);
     nonEmptyOrders_ |= 1u << order;
 }
 
@@ -77,8 +81,8 @@ BuddyAllocator::alloc(unsigned order)
         ++stats_.failedAllocs;
         return std::nullopt;
     }
-    Pfn pfn = *freeLists_[o].begin();
-    freeLists_[o].erase(freeLists_[o].begin());
+    Pfn pfn = freeLists_[o].first() << o;
+    freeLists_[o].erase(pfn >> o);
     if (freeLists_[o].empty())
         nonEmptyOrders_ &= ~(1u << o);
     // Split down to the requested order, returning upper halves.
@@ -94,10 +98,8 @@ BuddyAllocator::alloc(unsigned order)
 bool
 BuddyAllocator::removeFree(Pfn pfn, unsigned order)
 {
-    auto it = freeLists_[order].find(pfn);
-    if (it == freeLists_[order].end())
+    if (!freeLists_[order].erase(pfn >> order))
         return false;
-    freeLists_[order].erase(it);
     if (freeLists_[order].empty())
         nonEmptyOrders_ &= ~(1u << order);
     return true;
@@ -116,7 +118,7 @@ BuddyAllocator::isFree(Pfn pfn, unsigned order) const
     // any enclosing free block covers it.
     for (unsigned o = order; o <= kMaxOrder; ++o) {
         Pfn base = alignDown(pfn, 1ull << o);
-        if (freeLists_[o].count(base))
+        if (freeLists_[o].contains(base >> o))
             return o >= order || base == pfn;
     }
     if (order == 0)
@@ -268,8 +270,7 @@ BuddyAllocator::forEachFreeBlock(
     tps_assert(order <= kMaxOrder);
     // Explicit maximal blocks all sit below runStart_ (the tail never
     // holds one), so explicit-then-run preserves ascending order.
-    for (Pfn pfn : freeLists_[order])
-        visit(pfn);
+    freeLists_[order].forEach([&](uint64_t i) { visit(i << order); });
     if (order == kMaxOrder) {
         for (Pfn pfn = runStart_; pfn < runEnd_; pfn += 1ull << kMaxOrder)
             visit(pfn);

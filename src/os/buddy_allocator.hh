@@ -14,16 +14,21 @@
  *    (what fraction of free memory could be used if only a single page
  *    size existed).
  *
- * Ordered free lists make allocation deterministic (lowest address
- * first), which the reproducibility of every figure depends on.
+ * Each order's free list is an OrderedBitmapSet indexed by pfn >> order:
+ * one bit per naturally aligned block, with two summary levels, so the
+ * lowest free block is three bit scans away and membership tests and
+ * buddy lookups touch one word per level.  Bitmap words are allocated
+ * lazily, in chunks, only where a block of that order was ever freed.
+ * Ordered lists make allocation deterministic (lowest address first),
+ * which the reproducibility of every figure depends on.
  *
  * Sparse representation.  A fresh allocator's free lists are a pure
  * function of capacity: a run of maximal (order kMaxOrder) blocks
  * followed by a descending power-of-two tail.  The never-touched part
  * of that run is therefore kept *implicit* -- a single [runStart_,
- * runEnd_) interval instead of one container node per gigabyte -- and
- * blocks materialize into the explicit lists only when an operation
- * actually reaches them.  Materialization moves a block between two
+ * runEnd_) interval rather than a bit per gigabyte in the maximal-order
+ * list -- and blocks materialize into the explicit lists only when an
+ * operation actually reaches them.  Materialization moves a block between two
  * equivalent encodings of the same state, so every query and every
  * statistic is bit-identical to the dense allocator; the dense mode
  * (materialize everything up front) survives as the oracle the golden
@@ -40,9 +45,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "util/bitmap_set.hh"
 #include "vm/addr.hh"
 
 namespace tps::os {
@@ -147,7 +152,10 @@ class BuddyAllocator
     /** Insert a block, merging with its buddy as far as possible. */
     void insertAndMerge(Pfn pfn, unsigned order);
 
-    /** Insert into a free list, keeping the non-empty bitmask in step. */
+    /**
+     * Insert into a free list, keeping the non-empty bitmask in step.
+     * The block must not already be free (a double free panics).
+     */
     void insertFree(Pfn pfn, unsigned order);
 
     /** Move the first implicit run block onto the explicit lists. */
@@ -158,7 +166,8 @@ class BuddyAllocator
 
     uint64_t totalFrames_;
     uint64_t freeFrames_;
-    std::vector<std::set<Pfn>> freeLists_;  //!< index = order
+    //! index = order; each set holds pfn >> order of its free blocks
+    std::vector<OrderedBitmapSet> freeLists_;
     /**
      * Bitmask of orders whose *explicit* list is non-empty, so the
      * alloc() fallback and largestAvailable() find the next populated

@@ -13,13 +13,8 @@ Fragmenter::Fragmenter(PhysMemory &pm, FragmenterConfig cfg)
     tps_assert(cfg_.targetFreeFraction > 0.0 &&
                cfg_.targetFreeFraction < 1.0);
     tps_assert(cfg_.maxBlockOrder <= BuddyAllocator::kMaxOrder);
-}
-
-unsigned
-Fragmenter::sampleOrder()
-{
-    // Geometric-ish skew: P(order) ~ smallBias^-order.
-    double u = rng_.uniform();
+    // Geometric-ish skew: P(order) ~ smallBias^-order.  The cumulative
+    // thresholds are fixed by the config, so compute them once.
     double p = 1.0;
     double norm = 0.0;
     for (unsigned o = 0; o <= cfg_.maxBlockOrder; ++o) {
@@ -30,9 +25,18 @@ Fragmenter::sampleOrder()
     double acc = 0.0;
     for (unsigned o = 0; o <= cfg_.maxBlockOrder; ++o) {
         acc += p / norm;
-        if (u < acc)
-            return o;
+        orderThresholds_.push_back(acc);
         p /= cfg_.smallBias;
+    }
+}
+
+unsigned
+Fragmenter::sampleOrder()
+{
+    double u = rng_.uniform();
+    for (unsigned o = 0; o < orderThresholds_.size(); ++o) {
+        if (u < orderThresholds_[o])
+            return o;
     }
     return 0;
 }

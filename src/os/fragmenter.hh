@@ -60,6 +60,9 @@ class Fragmenter
     PhysMemory &pm_;
     FragmenterConfig cfg_;
     Pcg32 rng_;
+    //! Cumulative probability of orders 0..o; sampleOrder() returns the
+    //! first order whose threshold exceeds a uniform draw.
+    std::vector<double> orderThresholds_;
     std::vector<std::pair<Pfn, unsigned>> held_;
 };
 

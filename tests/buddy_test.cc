@@ -2,7 +2,7 @@
  * @file
  * Buddy-allocator tests: split/merge correctness, targeted allocation,
  * determinism, coverage analysis (Fig. 15 input), fragmentation index,
- * and an alloc/free stress invariant check.
+ * the double-free guard, and an alloc/free stress invariant check.
  */
 
 #include <gtest/gtest.h>
@@ -203,6 +203,19 @@ TEST(Buddy, FragmentationIndex)
     auto pfn = buddy.alloc(0);
     (void)pfn;
     EXPECT_GT(buddy.fragmentationIndex(), 0.0);
+}
+
+TEST(BuddyDeathTest, ExactDoubleFreePanics)
+{
+    // Frame 1 stays allocated, so the first free of frame 0 cannot
+    // merge and the second one finds frame 0 already on its free list.
+    // Accepting it would report every frame free while frame 1 is held.
+    BuddyAllocator buddy(1024);
+    ASSERT_EQ(buddy.alloc(0), Pfn{0});
+    ASSERT_EQ(buddy.alloc(0), Pfn{1});
+    buddy.free(0, 0);
+    EXPECT_EQ(buddy.freeFrames(), 1023u);
+    EXPECT_DEATH(buddy.free(0, 0), "assertion failed");
 }
 
 TEST(Buddy, StressRandomAllocFreeConservesFrames)

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "os/compaction.hh"
 #include "os/fragmenter.hh"
 #include "os/policy_common.hh"
+#include "util/rng.hh"
 
 namespace tps::os {
 namespace {
@@ -169,6 +172,63 @@ TEST(Fragmenter, ReleaseAllRestoresMemory)
     frag.run();
     frag.releaseAll();
     EXPECT_EQ(pm.buddy().freeFrames(), pm.buddy().totalFrames());
+}
+
+/**
+ * Stable digest of an aged state: the held blocks, every free list in
+ * ascending order, the allocator counters and the free frame count.
+ */
+uint64_t
+agedStateDigest(uint64_t total_frames, bool dense, FragmenterConfig cfg)
+{
+    PhysMemory pm(total_frames << vm::kBasePageBits, dense);
+    Fragmenter frag(pm, cfg);
+    frag.run();
+    const BuddyAllocator &buddy = pm.buddy();
+    std::string bytes;
+    auto put = [&](uint64_t v) {
+        bytes.append(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    for (auto [pfn, order] : frag.held()) {
+        put(pfn);
+        put(order);
+    }
+    for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o) {
+        put(~0ull);
+        buddy.forEachFreeBlock(o, [&](Pfn pfn) { put(pfn); });
+    }
+    const BuddyStats &st = buddy.stats();
+    for (uint64_t v : {st.allocs, st.frees, st.splits, st.merges,
+                       st.failedAllocs, buddy.freeFrames()})
+        put(v);
+    return stableHash64(bytes);
+}
+
+TEST(Fragmenter, AgedStatePinnedAcrossBuilds)
+{
+    // Pinned from the std::set free-list allocator; any change to the
+    // free-list representation or to order sampling must leave every
+    // aged block, free list and counter where it was.
+    const uint64_t k8g = (8ull << 30) >> vm::kBasePageBits;
+    FragmenterConfig ragged;
+    ragged.churnOps = 5000;
+    struct Case
+    {
+        uint64_t frames;
+        bool dense;
+        FragmenterConfig cfg;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {k8g, false, FragmenterConfig{}, 0x887d40d357128061ull},
+        {k8g, true, FragmenterConfig{}, 0x887d40d357128061ull},
+        {(1ull << 19) + 12345, false, ragged, 0x1765ab53b2735101ull},
+        {(1ull << 19) + 12345, true, ragged, 0x1765ab53b2735101ull},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(agedStateDigest(c.frames, c.dense, c.cfg), c.digest)
+            << "frames " << c.frames << " dense " << c.dense;
+    }
 }
 
 } // namespace
