@@ -94,7 +94,16 @@ class BuddyAllocator
      */
     bool allocSpecific(Pfn pfn, unsigned order);
 
-    /** Free a block previously returned by alloc()/allocSpecific(). */
+    /**
+     * Free a block previously returned by alloc()/allocSpecific().
+     * Only the exact same-order double free panics here: the block is
+     * still on its own order's free list.  A second free of a block
+     * that merged with its buddy on the first free, or a free of a
+     * block inside the implicit run, passes silently, because catching
+     * it would cost a lookup per enclosing order on every free.  The
+     * invariant checker (`--paranoid`) reports both as frame-accounting
+     * violations.
+     */
     void free(Pfn pfn, unsigned order);
 
     /**

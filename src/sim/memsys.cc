@@ -15,7 +15,6 @@ MemSys::Level::init(uint64_t bytes, unsigned w, unsigned line)
     tps_assert(isPowerOfTwo(sets));
     setShift = log2Floor(sets);
     tags.assign(lines, kInvalidTag);
-    lastUse.assign(lines, 0);
 }
 
 MemSys::MemSys(const MemSysConfig &cfg)

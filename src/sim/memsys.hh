@@ -5,8 +5,9 @@
  * Both demand accesses and page-walk references flow through it, so
  * walks naturally benefit from PTE caching in the data hierarchy (as in
  * real processors and as the paper's related work notes).  The model
- * tracks cache-line residency only (no data), with set-associative LRU
- * arrays, and returns the access latency in cycles.
+ * tracks cache-line residency only (no data) in set-associative LRU tag
+ * arrays, each set kept in recency order, and returns the access
+ * latency in cycles.
  */
 
 #ifndef TPS_SIM_MEMSYS_HH
@@ -52,23 +53,19 @@ class MemSys
     access(vm::Paddr pa)
     {
         ++stats_.accesses;
-        ++tick_;
         uint64_t line =
             lineIsPow2_ ? pa >> lineShift_ : pa / cfg_.lineBytes;
         // Start the LLC tag fetch while the L1 probe runs: the LLC
-        // arrays are the one structure too large to stay cache-hot,
-        // and most L1 misses go on to probe them.
-        {
-            unsigned set =
-                static_cast<unsigned>(line & (llc_.sets - 1));
-            __builtin_prefetch(&llc_.tags[set * llc_.ways]);
-            __builtin_prefetch(&llc_.lastUse[set * llc_.ways]);
-        }
-        if (l1_.lookupFill(line, tick_)) {
+        // array is the one structure too large to stay cache-hot, and
+        // most L1 misses go on to probe it.
+        __builtin_prefetch(
+            &llc_.tags[static_cast<unsigned>(line & (llc_.sets - 1)) *
+                       llc_.ways]);
+        if (l1_.lookupFill(line)) {
             ++stats_.l1Hits;
             return cfg_.l1LatencyCycles;
         }
-        if (llc_.lookupFill(line, tick_)) {
+        if (llc_.lookupFill(line)) {
             ++stats_.llcHits;
             return cfg_.llcLatencyCycles;
         }
@@ -82,7 +79,12 @@ class MemSys
 
 
   private:
-    /** One set-associative tag array. */
+    /**
+     * One set-associative tag array.  Each set lists its tags from the
+     * most to the least recently used, and ways never filled keep
+     * kInvalidTag at the tail, so the last way is always the victim:
+     * an empty way while the set has one, else the LRU line.
+     */
     struct Level
     {
         /**
@@ -95,43 +97,27 @@ class MemSys
         unsigned sets = 0;
         unsigned ways = 0;
         unsigned setShift = 0;         //!< log2(sets), for the tag
-        std::vector<uint64_t> tags;    //!< sets x ways
-        std::vector<uint64_t> lastUse; //!< LRU stamps
+        std::vector<uint64_t> tags;    //!< sets x ways, MRU first
 
         void init(uint64_t bytes, unsigned w, unsigned line);
 
         bool
-        lookupFill(uint64_t line_addr, uint64_t tick)
+        lookupFill(uint64_t line_addr)
         {
-            unsigned set = static_cast<unsigned>(line_addr & (sets - 1));
+            uint64_t *set =
+                &tags[static_cast<unsigned>(line_addr & (sets - 1)) * ways];
             uint64_t tag = line_addr >> setShift;
-            unsigned base = set * ways;
-            // A set holds at most one copy of a tag, so the scan needs
-            // no early exit -- written branch-free it vectorizes.
-            unsigned hit = ways;
-            for (unsigned w = 0; w < ways; ++w)
-                hit = tags[base + w] == tag ? w : hit;
-            if (hit != ways) {
-                lastUse[base + hit] = tick;
-                return true;
-            }
-            // Miss: victim is the first stamp-minimum way.  Invalid
-            // ways keep stamp 0, below every valid stamp (ticks start
-            // at 1), so an empty way wins over LRU eviction.  Which of
-            // several empty ways fills first differs from the original
-            // last-invalid rule, but the resident tag *set* -- the
-            // only thing hits and stats depend on -- evolves
-            // identically.
-            unsigned lru = 0;
-            uint64_t lru_use = ~0ull;
+            // One pass scans for the tag and shifts each way it passes
+            // down by one, with the tag at the front: a hit at way h
+            // closes its own gap, a miss drops the last way.
+            uint64_t carry = tag;
             for (unsigned w = 0; w < ways; ++w) {
-                bool older = lastUse[base + w] < lru_use;
-                lru = older ? w : lru;
-                lru_use = older ? lastUse[base + w] : lru_use;
+                uint64_t cur = set[w];
+                set[w] = carry;
+                if (cur == tag)
+                    return true;
+                carry = cur;
             }
-            unsigned victim = base + lru;
-            tags[victim] = tag;
-            lastUse[victim] = tick;
             return false;
         }
     };
@@ -141,7 +127,6 @@ class MemSys
     Level llc_;
     bool lineIsPow2_ = true;
     unsigned lineShift_ = 6;
-    uint64_t tick_ = 0;
     MemSysStats stats_;
 };
 

@@ -237,5 +237,48 @@ TEST(InvariantChecker, ParanoidCatchesFragmentedRuns)
     EXPECT_NO_THROW((void)core::runExperiment(opts));
 }
 
+/**
+ * The checker's findings on bare physical memory (no address space):
+ * the buddy free lists against the frame ledger, nothing else.
+ */
+CheckReport
+checkFrames(const os::PhysMemory &pm)
+{
+    InvariantChecker::Targets t;
+    t.phys = &pm;
+    CheckReport report = InvariantChecker(t).checkAll();
+    for (const Violation &v : report.violations())
+        EXPECT_EQ(v.cls, InvariantClass::FrameAccounting) << v.detail;
+    return report;
+}
+
+TEST(InvariantChecker, MergedDoubleFreeIsFrameAccounting)
+{
+    // The first free merges frame 0 back into the order-10 block, so
+    // the second finds no order-0 copy to trip over and passes inline;
+    // the free lists then hold 1025 frames of 1024.
+    os::PhysMemory pm(4ull << 20);
+    os::BuddyAllocator &buddy = pm.buddy();
+    ASSERT_EQ(buddy.alloc(0), os::Pfn{0});
+    buddy.free(0, 0);
+    ASSERT_TRUE(checkFrames(pm).ok());
+    buddy.free(0, 0);
+    EXPECT_EQ(buddy.freeFrames(), 1025u);
+    EXPECT_TRUE(checkFrames(pm).has(InvariantClass::FrameAccounting));
+}
+
+TEST(InvariantChecker, FreeInsideImplicitRunIsFrameAccounting)
+{
+    // 2 GB is two maximal blocks, both still in the implicit run: a
+    // frame there was never handed out, so freeing it is a double free
+    // that no explicit free list can see.
+    os::PhysMemory pm(2ull << 30);
+    os::BuddyAllocator &buddy = pm.buddy();
+    ASSERT_EQ(buddy.implicitBlocks(), 2u);
+    ASSERT_TRUE(checkFrames(pm).ok());
+    buddy.free((os::Pfn{1} << os::BuddyAllocator::kMaxOrder) + 5, 0);
+    EXPECT_TRUE(checkFrames(pm).has(InvariantClass::FrameAccounting));
+}
+
 } // namespace
 } // namespace tps::check

@@ -4,7 +4,8 @@
 Fixed samples stand in for perfbench results, so the tests pin the
 rule itself: a regression must clear both the metric's BENCHMARK.json
 bound and the base's IQR, and a run that is wrong fails regardless of
-its speed.
+its speed.  The per-workload stats line names the seeds whose
+sim.stats_digest moved and never changes the verdict.
 """
 
 import os
@@ -22,8 +23,10 @@ RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
 METRICS = [WALL, RATE, RSS]
 
 
-def result(wall=10.0, rate=4.0, rss=100.0, correct=True, failed=0):
+def result(wall=10.0, rate=4.0, rss=100.0, correct=True, failed=0,
+           digest="33da0a9b4f81"):
     return {"correct": correct, "attempted": 40, "failed": failed,
+            "stats_digest": digest,
             "metrics": {"wall_s": {"value": wall},
                         "measured_macc_per_s": {"value": rate},
                         "peak_rss_mb": {"value": rss}}}
@@ -105,6 +108,43 @@ class VerdictTest(unittest.TestCase):
         _, problems = verdicts(base, change)
         self.assertEqual(len(problems), 1)
         self.assertIn("failed/attempted", problems[0])
+
+
+class StatsLineTest(unittest.TestCase):
+    SEEDS = range(100, 105)
+
+    def test_equal_digests_are_identical(self):
+        runs = [result() for _ in self.SEEDS]
+        self.assertEqual(perf_ab.stats_line(self.SEEDS, runs, runs),
+                         "stats identical at all 5 seeds")
+
+    def test_moved_digests_name_their_seeds_and_keep_the_verdict(self):
+        base = [result() for _ in self.SEEDS]
+        change = [result(digest="47b2680507e5" if i in (1, 3) else
+                         "33da0a9b4f81") for i in range(5)]
+        self.assertEqual(perf_ab.stats_line(self.SEEDS, base, change),
+                         "stats differ at seeds 101, 103")
+        got, problems = verdicts(base, change)
+        self.assertEqual(problems, [])
+        self.assertEqual(set(got.values()), {"ok"})
+
+    def test_digest_is_read_from_perfbench_stdout(self):
+        out = ("workload steady seed 100: 12 passes in 24.3 s\n"
+               "  wall_s = 1.7 s\n"
+               "  sim.stats_digest = 33da0a9b4f81\n"
+               '{"correct": true, "attempted": 216, "failed": 0, '
+               '"metrics": {}}\n')
+        run = perf_ab.parse_run(out)
+        self.assertEqual(run["stats_digest"], "33da0a9b4f81")
+        self.assertTrue(run["correct"])
+        self.assertIsNone(perf_ab.parse_run('{"correct": true}')
+                          ["stats_digest"])
+
+    def test_missing_digest_counts_as_differing(self):
+        base = [result(digest=None)] + [result() for _ in range(4)]
+        change = [result(digest=None)] + [result() for _ in range(4)]
+        self.assertEqual(perf_ab.stats_line(self.SEEDS, base, change),
+                         "stats differ at seeds 100")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,12 @@ base's.  A metric whose base IQR is wider than its bound, or whose
 median is worse by more than the bound but within the IQR, is
 reported as unresolved (the host was too noisy to tell) unless every
 run of this checkout beat every run of the base.
+
+Each workload also gets one line saying whether the simulated
+statistics moved: the sim.stats_digest perfbench prints for each run,
+compared between the two sides of every pair.  The line is
+informational and leaves the verdict alone, since a correctness fix
+moves statistics on purpose.
 """
 
 import json
@@ -92,6 +98,16 @@ def judge(end_to_end, base, change):
     return rows, problems
 
 
+def stats_line(seeds, base, change):
+    """Whether the two sides' sim.stats_digest agree at every seed."""
+    differ = [str(seed) for seed, b, c in zip(seeds, base, change)
+              if b["stats_digest"] is None or
+              b["stats_digest"] != c["stats_digest"]]
+    if not differ:
+        return f"stats identical at all {len(seeds)} seeds"
+    return f"stats differ at seeds {', '.join(differ)}"
+
+
 def run_bench(spec, root, workload, seed):
     cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
@@ -99,7 +115,17 @@ def run_bench(spec, root, workload, seed):
           flush=True)
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
                          check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return parse_run(out.stdout)
+
+
+def parse_run(stdout):
+    """perfbench's result object, plus the sim.stats_digest it printed."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["stats_digest"] = next(
+        (line.split("=")[1].strip() for line in lines
+         if line.strip().startswith("sim.stats_digest =")), None)
+    return result
 
 
 def measure(spec, base_root):
@@ -147,6 +173,9 @@ def main():
                   f"{r['iqr']:>10.3g} {r['change']:>12.5g} "
                   f"{r['delta_pct']:>+7.1f}% {r['wins']:>3}/{PAIRS}  "
                   f"{r['verdict']}")
+        seeds = range(SEED0, SEED0 + PAIRS)
+        print(f"{workload:<12} "
+              f"{stats_line(seeds, sides['base'], sides['change'])}")
         for p in problems:
             print(f"FAIL {workload}: {p}")
         failed |= bool(problems)
