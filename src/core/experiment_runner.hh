@@ -5,10 +5,12 @@
  *
  * Determinism contract: runExperiment() is a pure function of its
  * RunOptions -- every generator seed inside a cell derives from the
- * cell's own (workload, design, scale) identity via cellSeed(), never
- * from global state -- so the statistics a parallel sweep produces are
+ * cell's own (workload, scale, footprint) via runSeed(), never from
+ * global state -- so the statistics a parallel sweep produces are
  * bit-identical to the same sweep run serially (or with any other
- * --jobs value).  tests/golden_stats_test.cc enforces this.
+ * --jobs value).  The design is not part of the seed, so the cells of
+ * one workload that differ only in design replay one access stream.
+ * tests/golden_stats_test.cc enforces both.
  */
 
 #ifndef TPS_CORE_EXPERIMENT_RUNNER_HH

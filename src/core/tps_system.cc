@@ -140,7 +140,7 @@ designTlbConfig(Design d)
 uint64_t
 runSeed(const RunOptions &opts)
 {
-    return cellSeed(opts.workload, designName(opts.design), opts.scale);
+    return cellSeed(opts.workload, opts.scale, opts.footprintBytes);
 }
 
 std::string

@@ -188,9 +188,12 @@ enum class CellStatus
 const char *cellStatusName(CellStatus status);
 
 /**
- * The workload seed offset for one cell: a stable hash of (workload,
- * design, scale), so every cell in a sweep draws from an independent,
- * reproducible stream regardless of run order or thread placement.
+ * The workload seed offset for one cell: cellSeed() of (workload,
+ * scale, footprintBytes), reproducible regardless of run order or
+ * thread placement.  The design and every machine-side option stay
+ * out of it, so cells that differ only there replay one access stream
+ * (and, for graph500, share one memoized graph).  runExperiment()
+ * seeds an SMT competitor at this seed + 1000.
  */
 uint64_t runSeed(const RunOptions &opts);
 

@@ -28,15 +28,13 @@ hashCombine(uint64_t a, uint64_t b)
 }
 
 uint64_t
-cellSeed(std::string_view workload, std::string_view design,
-         double scale)
+cellSeed(std::string_view workload, double scale, uint64_t footprint_bytes)
 {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(scale));
     std::memcpy(&bits, &scale, sizeof(bits));
-    return hashCombine(hashCombine(stableHash64(workload),
-                                   stableHash64(design)),
-                       bits);
+    return hashCombine(hashCombine(stableHash64(workload), bits),
+                       footprint_bytes);
 }
 
 namespace {

@@ -32,14 +32,17 @@ uint64_t hashCombine(uint64_t a, uint64_t b);
 /**
  * The deterministic RNG seed for one experiment cell.
  *
- * Derived purely from the cell's identity -- workload name, design
- * name, and scale factor (by bit pattern) -- never from global state,
- * submission order, or thread identity.  This is what makes a parallel
- * sweep bit-identical to the same sweep run serially: every cell's
- * generators are a pure function of (workload, design, scale).
+ * Derived purely from what the cell simulates -- workload name, scale
+ * factor (by bit pattern) and footprint override in bytes (0 = the
+ * workload's default) -- never from global state, submission order or
+ * thread identity.  This is what makes a parallel sweep bit-identical
+ * to the same sweep run serially.  The design is not an argument: the
+ * cells of one workload that differ only in design, TLB or OS knobs
+ * replay one access stream, so every comparison between them is
+ * paired.
  */
-uint64_t cellSeed(std::string_view workload, std::string_view design,
-                  double scale);
+uint64_t cellSeed(std::string_view workload, double scale,
+                  uint64_t footprint_bytes);
 
 /** A PCG-XSH-RR 32-bit generator with a 64-bit state and stream. */
 class Pcg32

@@ -10,11 +10,12 @@
  * Graph construction is expensive, so the host-side CSR is memoized
  * per (scale, edgeFactor, seed) and shared between instances; the BFS
  * itself remains per-instance and deterministic.
- * Cells of different designs do not share a graph (core::runSeed
- * hashes the design into the seed).  The cells that do are those with
- * one cell seed, such as the real, perfect-L2 and perfect-L1 THP cells
- * of one Fig. 13/14 speedup pipeline, and instances a test sets up
- * directly.  The memo builds each key's graph once per process,
+ * Every cell of one workload, scale and footprint shares one graph:
+ * core::runSeed leaves the design and the machine-side options out of
+ * the seed, so the THP, TPS, CoLT and RMM cells of a figure row, and
+ * the perfect-TLB cells of a Fig. 13/14 speedup pipeline, traverse the
+ * same CSR (an SMT competitor, seeded apart, builds its own).  The
+ * memo builds each key's graph once per process,
  * outside its lock: concurrent setups of the same key wait for that
  * one build, setups of different keys build concurrently.
  *
@@ -91,6 +92,8 @@ class Graph500 : public WorkloadBase
 
     /** Vertex count (tests). */
     uint64_t vertices() const { return n_; }
+    /** The host-side graph setup() took from the memo (tests). */
+    const Csr *csr() const { return csr_.get(); }
     /** Directed edge count (tests). */
     uint64_t
     edges() const

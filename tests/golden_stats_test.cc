@@ -2,7 +2,7 @@
  * @file
  * Golden-statistics regression tests.
  *
- * Two guarantees are pinned here:
+ * These guarantees are pinned here:
  *
  *  1. Parallel == serial, bitwise: the same cells run through
  *     core::runExperiment one by one and through a 4-thread
@@ -24,13 +24,17 @@
  *
  *  4. Graph500's process-wide CSR memo hands every instance the same
  *     graph a serial setup builds, however many threads set up
- *     instances of the same or different graphs at once; and one
- *     build's CSR is the same for every number of build threads.
+ *     instances of the same or different graphs at once; one build's
+ *     CSR is the same for every number of build threads; and the
+ *     design cells of one row share one graph.
  *
  *  5. The end-of-run census runExperiment() fills through
  *     RunHooks::census (page-size histogram, mapped bytes, touched
  *     pages, 2 MB chunks), pinned to the values the figures' former
  *     stand-alone census run produced.
+ *
+ *  6. Pairing: a cell's seed ignores its design and machine-side
+ *     options, so the designs of one workload replay one stream.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +48,7 @@
 
 #include "core/experiment_runner.hh"
 #include "core/tps_system.hh"
+#include "fake_alloc.hh"
 #include "graph500_stream.hh"
 #include "obs/run_manifest.hh"
 #include "sim/smt.hh"
@@ -171,24 +176,109 @@ TEST(GoldenStats, SeedIsPureFunctionOfCellIdentity)
     opts.workload = "gups";
     opts.design = Design::Tps;
     opts.scale = 0.02;
+    opts.physBytes = 512ull << 20;
     uint64_t seed = runSeed(opts);
     EXPECT_EQ(seed, runSeed(opts));
 
+    // Designs and machine-side knobs are paired: a figure row's cells,
+    // a census or perfect-TLB re-run, and a smaller machine all replay
+    // one access stream.
     RunOptions other = opts;
-    other.design = Design::Thp;
-    EXPECT_NE(runSeed(other), seed);
+    for (Design d : {Design::Base4k, Design::Thp, Design::TpsEager,
+                     Design::Rmm, Design::Colt}) {
+        other.design = d;
+        EXPECT_EQ(runSeed(other), seed) << designName(d);
+    }
+    other = opts;
+    other.timing = sim::TlbTimingMode::PerfectL1;
+    other.physBytes *= 2;
+    other.tpsThreshold = 0.5;
+    other.smt = true;
+    other.virtualized = true;
+    other.fiveLevel = true;
+    other.noMmuCache = true;
+    other.tpsTlbSkewed = true;
+    other.tpsTlbEntries = 64;
+    other.fragmented = true;
+    other.aliasMode = vm::AliasMode::FullCopy;
+    other.encoding = vm::SizeEncoding::SizeField;
+    other.maxAccesses = 1000;
+    other.epochAccesses = 500;
+    EXPECT_EQ(runSeed(other), seed);
+
+    // What the cell simulates moves it.
     other = opts;
     other.workload = "mcf";
     EXPECT_NE(runSeed(other), seed);
     other = opts;
     other.scale = 0.04;
     EXPECT_NE(runSeed(other), seed);
-    // Knobs outside the cell identity do not move the seed: a census
-    // or perfect-TLB re-run of a cell sees the same access stream.
     other = opts;
-    other.timing = sim::TlbTimingMode::PerfectL1;
-    other.physBytes *= 2;
-    EXPECT_EQ(runSeed(other), seed);
+    other.footprintBytes = 64ull << 20;
+    EXPECT_NE(runSeed(other), seed);
+
+    // An SMT cell's competitor draws its own stream, seed + 1000: the
+    // cell's stat tree is that of a primary at the cell seed beside a
+    // competitor at seed + 1000, and not beside a copy of itself.
+    RunOptions smt = opts;
+    smt.smt = true;
+    auto smtTree = [&](uint64_t competitor_seed) {
+        auto primary = workloads::makeWorkload(smt.workload, smt.scale, seed);
+        auto competitor = workloads::makeWorkload(smt.workload, smt.scale,
+                                                  competitor_seed);
+        os::PhysMemory pm(smt.physBytes);
+        return sim::runSmt(pm, makePolicy(smt.design), *primary,
+                           *competitor, makeEngineConfig(smt))
+            .toJson()
+            .dump();
+    };
+    std::string cell = runExperiment(smt).toJson().dump();
+    EXPECT_EQ(cell, smtTree(seed + 1000));
+    EXPECT_NE(cell, smtTree(seed));
+}
+
+/** The first @p count accesses of @p opts' workload, set up on a
+ *  FakeAlloc (so every cell sees the same region addresses). */
+std::vector<sim::MemAccess>
+firstAccesses(const RunOptions &opts, unsigned count)
+{
+    auto wl = workloads::makeWorkload(opts.workload, opts.scale,
+                                      runSeed(opts), opts.footprintBytes);
+    test::FakeAlloc alloc;
+    wl->setup(alloc);
+    std::vector<sim::MemAccess> out(count);
+    for (sim::MemAccess &acc : out) {
+        if (!wl->next(acc))
+            ADD_FAILURE() << opts.workload << " ran dry";
+    }
+    return out;
+}
+
+TEST(GoldenStats, DesignsReplayOneStream)
+{
+    // The paper compares every design on one trace: the thp, tps, colt
+    // and rmm cells of a workload emit the same accesses.
+    constexpr unsigned kAccesses = 10000;
+    for (const char *wl : {"gups", "mcf", "gcc", "graph500"}) {
+        RunOptions opts;
+        opts.workload = wl;
+        opts.scale = 0.02;
+        opts.design = Design::Thp;
+        std::vector<sim::MemAccess> thp = firstAccesses(opts, kAccesses);
+        for (Design d : {Design::Tps, Design::Colt, Design::Rmm}) {
+            opts.design = d;
+            std::vector<sim::MemAccess> other =
+                firstAccesses(opts, kAccesses);
+            for (unsigned i = 0; i < kAccesses; ++i) {
+                ASSERT_EQ(other[i].va, thp[i].va)
+                    << cellLabel(opts) << " @" << i;
+                ASSERT_EQ(other[i].write, thp[i].write)
+                    << cellLabel(opts) << " @" << i;
+                ASSERT_EQ(other[i].dependsOnPrev, thp[i].dependsOnPrev)
+                    << cellLabel(opts) << " @" << i;
+            }
+        }
+    }
 }
 
 /** The grid's host-free manifest JSON when run on @p jobs workers. */
@@ -269,13 +359,13 @@ expectGolden(const sim::SimStats &s, const Golden &g)
 TEST(GoldenStats, GupsUnderThp)
 {
     expectGolden(runGups(Design::Thp),
-                 Golden{30000, 3140, 38, 38, 0, 40});
+                 Golden{30000, 3218, 38, 38, 0, 40});
 }
 
 TEST(GoldenStats, GupsUnderTps)
 {
     expectGolden(runGups(Design::Tps),
-                 Golden{30000, 55, 1, 2, 0, 20962});
+                 Golden{30000, 135, 1, 2, 0, 20962});
 }
 
 /**
@@ -313,11 +403,11 @@ TEST(GoldenStats, SmtStatTrees)
         Design design;
         uint64_t hash;
     };
-    for (const Pin &pin : {Pin{"mcf", Design::Thp, 0xcb61df282ded301cull},
-                           Pin{"mcf", Design::Tps, 0x6fa0ac29fcb92993ull},
-                           Pin{"gups", Design::Thp, 0xebd342463d0092b5ull},
+    for (const Pin &pin : {Pin{"mcf", Design::Thp, 0xe836ce4a78882c2full},
+                           Pin{"mcf", Design::Tps, 0x42f4da5d132a4d97ull},
+                           Pin{"gups", Design::Thp, 0x3bd10e1f88192708ull},
                            Pin{"gups", Design::Tps,
-                               0x7a3f65b9aa6dd11full}}) {
+                               0xb0207f595490c806ull}}) {
         RunOptions opts = smtCell(pin.workload, pin.design);
         expectStatsHash(runExperiment(opts), pin.hash, cellLabel(opts));
     }
@@ -336,7 +426,7 @@ TEST(GoldenStats, SmtBoundariesInsideRounds)
     sim::SimStats stats = runExperiment(opts);
     ASSERT_GT(stats.epochs.size(), 2u);
     ASSERT_EQ(stats.accesses, opts.maxAccesses);
-    expectStatsHash(stats, 0x805cd145a00415e9ull,
+    expectStatsHash(stats, 0x783ec72cf41a72bfull,
                     "gups/tps smt boundaries");
 }
 
@@ -388,10 +478,10 @@ TEST(GoldenStats, TraceReplayStatTree)
 TEST(GoldenStats, Graph500StatTrees)
 {
     // A 144 B/vertex footprint of 2^12 vertices: a scale-12 R-MAT
-    // graph with edge factor 8, one per design (the seed hashes it).
+    // graph with edge factor 8, one for both designs.
     for (auto [design, hash] : {std::pair<Design, uint64_t>
-                                    {Design::Thp, 0x2457606844e8a5c6ull},
-                                {Design::Tps, 0x168bf397fdd555bcull}}) {
+                                    {Design::Thp, 0x7bbb789a108b6b3cull},
+                                {Design::Tps, 0x3f2eaad48633eff8ull}}) {
         RunOptions opts;
         opts.workload = "graph500";
         opts.design = design;
@@ -429,6 +519,32 @@ TEST(GoldenStats, Graph500MemoConcurrentSetup)
     for (unsigned i = 0; i < hashes.size(); ++i)
         EXPECT_EQ(hashes[i], pins[i % 2].hash)
             << "instance " << i << ": actual 0x" << std::hex << hashes[i];
+}
+
+TEST(GoldenStats, Graph500DesignsShareOneMemoizedCsr)
+{
+    // The four design cells of one graph500 row get one graph from the
+    // memo; an SMT competitor, seeded apart, gets a graph of its own.
+    using workloads::Graph500;
+    RunOptions opts;
+    opts.workload = "graph500";
+    opts.scale = 1.0 / 64;
+    std::vector<std::unique_ptr<workloads::Workload>> cells;
+    auto csrOf = [&](uint64_t seed) {
+        cells.push_back(
+            workloads::makeWorkload(opts.workload, opts.scale, seed));
+        test::FakeAlloc alloc;
+        cells.back()->setup(alloc);
+        return dynamic_cast<const Graph500 &>(*cells.back()).csr();
+    };
+    opts.design = Design::Thp;
+    const Graph500::Csr *shared = csrOf(runSeed(opts));
+    ASSERT_NE(shared, nullptr);
+    for (Design d : {Design::Tps, Design::Colt, Design::Rmm}) {
+        opts.design = d;
+        EXPECT_EQ(csrOf(runSeed(opts)), shared) << designName(d);
+    }
+    EXPECT_NE(csrOf(runSeed(opts) + 1000), shared);
 }
 
 /** Index of the first element where @p a and @p b differ, or -1. */
@@ -502,7 +618,7 @@ TEST(GoldenStats, CensusOfFinalAddressSpace)
         uint64_t hash;
     };
     for (const Pin &pin :
-         {Pin{"gcc", Design::Tps, 0x2056f281e7324a22ull},
+         {Pin{"gcc", Design::Tps, 0x8b626029b74ac443ull},
           Pin{"mcf", Design::Base4k, 0x6f91cfb7b018a252ull}}) {
         RunOptions opts;
         opts.workload = pin.workload;

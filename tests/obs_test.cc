@@ -331,7 +331,7 @@ TEST(Manifest, OptionsAndIdentityArePinnedAcrossBuilds)
         R"({"workload":"","design":"thp","scale":1,)" + base;
     core::RunOptions d;
     EXPECT_EQ(runOptionsJson(d).dump(), defaults);
-    EXPECT_EQ(cellIdentity(d), defaults + "#18322061184686922065");
+    EXPECT_EQ(cellIdentity(d), defaults + "#17649696875803619419");
 
     // Every emitted option off its default, plus the never-emitted ones.
     core::RunOptions o;
@@ -387,7 +387,7 @@ TEST(Manifest, OptionsAndIdentityArePinnedAcrossBuilds)
               head +
                   R"("paranoid":false,"checkEvery":0,)"
                   R"("cellTimeoutSeconds":0,)" +
-                  tail + "#16483769677816164654");
+                  tail + "#12250435353445886631");
 }
 
 // ------------------------------------------------------ sweep monitor

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "obs/resume.hh"
 #include "obs/run_manifest.hh"
 #include "obs/stats_bindings.hh"
+#include "util/rng.hh"
 #include "util/sim_error.hh"
 
 namespace tps {
@@ -444,6 +446,43 @@ TEST(Resume, FailedCellsAreNotRestored)
     EXPECT_EQ(log.size(), 1u);
     EXPECT_NE(log.find(ok.options), nullptr);
     EXPECT_EQ(log.find(bad.options), nullptr);
+
+    std::remove(path.c_str());
+}
+
+TEST(Resume, CellOfAnotherSeedIsRerunNotRestored)
+{
+    // Manifests written while the seed still hashed the design record,
+    // for every cell, a seed other than today's runSeed().  Such a cell
+    // is re-run, never restored, so the stats of an unpaired stream
+    // cannot join a paired sweep.
+    obs::CellArtifact cell;
+    cell.options = smallRun("gups", core::Design::Tps);
+    cell.stats = core::runExperiment(cell.options);
+    obs::ManifestInfo info;
+    info.bench = "reseeded";
+    info.includeHost = false;
+    const obs::Json manifest = obs::manifestJson(info, {cell});
+    const std::string path = scratchPath("reseeded");
+    obs::writeJsonFile(path, manifest);
+    obs::ResumeLog log;
+    ASSERT_TRUE(log.load(path));
+    ASSERT_NE(log.find(cell.options), nullptr);
+
+    // The seed the old rule gave this cell: workload, design and the
+    // scale's bit pattern, hashed in that order.
+    uint64_t unpaired =
+        hashCombine(hashCombine(stableHash64("gups"), stableHash64("tps")),
+                    std::bit_cast<uint64_t>(cell.options.scale));
+    ASSERT_NE(unpaired, core::runSeed(cell.options));
+    obs::Json stale = manifest.at("cells").at(0);
+    stale["seed"] = obs::Json(unpaired);
+    obs::Json doc = without(manifest, "cells");
+    doc["cells"].push(stale);
+    obs::writeJsonFile(path, doc);
+    ASSERT_TRUE(log.load(path));
+    EXPECT_EQ(log.size(), 1u);
+    EXPECT_EQ(log.find(cell.options), nullptr);
 
     std::remove(path.c_str());
 }

@@ -234,11 +234,11 @@ TEST(Rng, StableHashMatchesFnvSpec)
 
 TEST(Rng, CellSeedSeparatesCells)
 {
-    uint64_t a = cellSeed("gups", "tps", 1.0);
-    EXPECT_EQ(a, cellSeed("gups", "tps", 1.0));
-    EXPECT_NE(a, cellSeed("gups", "thp", 1.0));
-    EXPECT_NE(a, cellSeed("mcf", "tps", 1.0));
-    EXPECT_NE(a, cellSeed("gups", "tps", 0.5));
+    uint64_t a = cellSeed("gups", 1.0, 0);
+    EXPECT_EQ(a, cellSeed("gups", 1.0, 0));
+    EXPECT_NE(a, cellSeed("mcf", 1.0, 0));
+    EXPECT_NE(a, cellSeed("gups", 0.5, 0));
+    EXPECT_NE(a, cellSeed("gups", 1.0, 1ull << 30));
 }
 
 TEST(Summary, EmptySignalsEmptiness)

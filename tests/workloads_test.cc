@@ -86,7 +86,7 @@ TEST_P(RegistryWorkload, SameSeedSameFirstThousandAccesses)
     // built twice with the same cell-derived seed offset emits a
     // bit-identical trace, including the hashed offsets runExperiment
     // passes (large, not small hand-picked integers).
-    uint64_t offset = cellSeed(GetParam(), "trace-check", 0.01);
+    uint64_t offset = cellSeed(GetParam(), 0.01, 0);
     auto a = makeWorkload(GetParam(), 0.01, offset);
     auto b = makeWorkload(GetParam(), 0.01, offset);
     FakeAlloc alloc_a, alloc_b;
