@@ -31,6 +31,7 @@ struct Sweep
             .count();
     std::unique_ptr<obs::SweepMonitor> monitor;
     obs::ResumeLog resume;  //!< empty unless --resume found a manifest
+    bool resuming = false;  //!< --resume loaded a usable manifest
     //! --shard: the full planned grid plus this process's slice.
     obs::ShardPlan plan;
     //! Per cell: the first cell of the grid with the same identity
@@ -212,11 +213,8 @@ initSweep(Sweep &sweep, const Figure &fig, const FigOptions &opts,
         if (opts.statsJson.empty())
             tps_fatal("--resume needs --stats-json=<path> (the manifest "
                       "to resume from and rewrite)");
-        if (sweep.resume.load(opts.statsJson)) {
-            std::fprintf(stderr,
-                         "resuming: %zu completed cells in %s\n",
-                         sweep.resume.size(), opts.statsJson.c_str());
-        } else {
+        sweep.resuming = sweep.resume.load(opts.statsJson);
+        if (!sweep.resuming) {
             std::fprintf(stderr,
                          "no usable manifest at %s (%s); running all "
                          "cells\n",
@@ -250,12 +248,16 @@ runCells(Sweep &sweep, const FigOptions &opts,
     std::vector<core::RunOptions> to_run;
     std::vector<size_t> to_run_idx;
     core::SweepPolicy policy;
+    size_t owned = 0;
+    size_t restored = 0;
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!sweep.owned[i])
             continue;
+        ++owned;
         const obs::ResumedCell *prior =
             census[i] ? nullptr : sweep.resume.find(cells[i].run);
         if (prior) {
+            ++restored;
             // A Resumed artifact carries the prior cell JSON verbatim.
             obs::CellArtifact &cell = arts[i];
             cell.options = cells[i].run;
@@ -269,6 +271,10 @@ runCells(Sweep &sweep, const FigOptions &opts,
             to_run_idx.push_back(i);
             policy.census.push_back(census[i]);
         }
+    }
+    if (sweep.resuming) {
+        std::fprintf(stderr, "resuming: %zu of %zu cells restored from %s\n",
+                     restored, owned, opts.statsJson.c_str());
     }
 
     core::ExperimentRunner runner(opts.jobs);

@@ -424,7 +424,6 @@ void
 Mmu::clearStats()
 {
     stats_ = MmuStats{};
-    tlb_.clearStats();
     walker_.clearStats();
 }
 

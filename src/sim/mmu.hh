@@ -149,8 +149,9 @@ class Mmu
     }
 
     const MmuStats &stats() const { return stats_; }
-    void clearStats();
 
+    /** Reset MmuStats and the walker's counters. */
+    void clearStats();
 
     /**
      * Attach an event trace (nullptr = off) to this MMU and the TLB

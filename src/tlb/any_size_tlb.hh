@@ -22,13 +22,13 @@ class AnySizeTlb
   public:
     virtual ~AnySizeTlb() = default;
 
-    /** Look up @p va; stats updated, replacement state touched. */
+    /** Look up @p va; replacement state touched on a hit. */
     virtual TlbEntry *lookup(Vaddr va) = 0;
 
     /** Probe without disturbing state. */
     virtual const TlbEntry *probe(Vaddr va) const = 0;
 
-    /** Mutable probe without stats (A/D updates after a fill). */
+    /** Mutable probe (A/D updates after a fill). */
     virtual TlbEntry *findMutable(Vaddr va) = 0;
 
     /** Install @p entry. @return the slot it now occupies. */
@@ -55,8 +55,6 @@ class AnySizeTlb
     /** Invalidate everything. */
     virtual void flush() = 0;
 
-    virtual const TlbStats &stats() const = 0;
-    virtual void clearStats() = 0;
     virtual unsigned capacity() const = 0;
     virtual unsigned occupancy() const = 0;
 

@@ -59,11 +59,8 @@ ColtTlb::fill(const ColtEntry &entry)
         if (e.lastUse < victim->lastUse)
             victim = &e;
     }
-    if (victim->valid)
-        ++stats_.evictions;
     *victim = entry;
     victim->lastUse = tick_;
-    ++stats_.fills;
 }
 
 void
@@ -72,12 +69,9 @@ ColtTlb::invalidate(Vaddr va)
     Vpn vpn = vm::vpnOf(va);
     unsigned set = setIndex(vpn);
     ColtEntry *base = &entries_[set * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].covers(vpn)) {
+    for (unsigned w = 0; w < ways_; ++w)
+        if (base[w].covers(vpn))
             base[w].valid = false;
-            ++stats_.invalidations;
-        }
-    }
 }
 
 void
@@ -85,7 +79,6 @@ ColtTlb::flush()
 {
     for (auto &e : entries_)
         e.valid = false;
-    ++stats_.invalidations;
 }
 
 unsigned

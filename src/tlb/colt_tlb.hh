@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "tlb/tlb_entry.hh"
@@ -57,11 +56,10 @@ class ColtTlb
      */
     ColtTlb(unsigned entries, unsigned ways);
 
-    /** Look up @p va; stats + LRU updated. */
+    /** Look up @p va; LRU touched on a hit. */
     ColtEntry *
     lookup(Vaddr va)
     {
-        ++stats_.lookups;
         ++tick_;
         Vpn vpn = vm::vpnOf(va);
         unsigned set = setIndex(vpn);
@@ -70,11 +68,9 @@ class ColtTlb
             ColtEntry &e = base[w];
             if (e.covers(vpn)) {
                 e.lastUse = tick_;
-                ++stats_.hits;
                 return &e;
             }
         }
-        ++stats_.misses;
         return nullptr;
     }
 
@@ -101,8 +97,6 @@ class ColtTlb
                vm::pageOffset(va, vm::kBasePageBits);
     }
 
-    const TlbStats &stats() const { return stats_; }
-    void clearStats() { stats_ = TlbStats{}; }
     unsigned sets() const { return sets_; }
     unsigned occupancy() const;
 
@@ -132,7 +126,6 @@ class ColtTlb
     unsigned ways_;
     std::vector<ColtEntry> entries_;
     uint64_t tick_ = 0;
-    TlbStats stats_;
 };
 
 } // namespace tps::tlb

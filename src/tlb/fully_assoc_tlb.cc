@@ -4,8 +4,7 @@
 
 namespace tps::tlb {
 
-FullyAssocTlb::FullyAssocTlb(std::string name, unsigned entries)
-    : name_(std::move(name))
+FullyAssocTlb::FullyAssocTlb(unsigned entries)
 {
     tps_assert(entries > 0);
     entries_.resize(entries);
@@ -44,24 +43,17 @@ FullyAssocTlb::fill(const TlbEntry &entry)
     for (size_t i = 0; i < n; ++i) {
         if (tags_[i] == entry.vpnTag &&
             entries_[i].pageBits == entry.pageBits) {
-            TlbEntry &e = entries_[i];
-            e = entry;
-            e.lastUse = tick_;
-            syncSlot(i);
-            return &e;
+            entries_[i] = entry;
+            syncSlot(i, tick_);
+            return &entries_[i];
         }
         bool older = lastUses_[i] < best;
         vi = older ? i : vi;
         best = older ? lastUses_[i] : best;
     }
-    TlbEntry *victim = &entries_[vi];
-    if (victim->valid)
-        ++stats_.evictions;
-    *victim = entry;
-    victim->lastUse = tick_;
-    syncSlot(vi);
-    ++stats_.fills;
-    return victim;
+    entries_[vi] = entry;
+    syncSlot(vi, tick_);
+    return &entries_[vi];
 }
 
 TlbEntry *
@@ -86,23 +78,16 @@ FullyAssocTlb::fillAndFind(const TlbEntry &entry, Vaddr base)
             // Refill in place.  The slot's (mask, tag) identity is
             // unchanged, and the new entry covers base, so the probe
             // predicate holds here -- match is already <= i and final.
-            TlbEntry &e = entries_[i];
-            e = entry;
-            e.lastUse = tick_;
-            syncSlot(i);
+            entries_[i] = entry;
+            syncSlot(i, tick_);
             return &entries_[match];
         }
         bool older = lastUses_[i] < best;
         vi = older ? i : vi;
         best = older ? lastUses_[i] : best;
     }
-    TlbEntry *victim = &entries_[vi];
-    if (victim->valid)
-        ++stats_.evictions;
-    *victim = entry;
-    victim->lastUse = tick_;
-    syncSlot(vi);
-    ++stats_.fills;
+    entries_[vi] = entry;
+    syncSlot(vi, tick_);
     // Post-install, every slot except the victim kept its pre-scan
     // predicate value and the victim always matches (the new entry
     // covers base), so the first probe-order match is min(match, vi) --
@@ -119,8 +104,7 @@ FullyAssocTlb::invalidate(Vaddr va)
         TlbEntry &e = entries_[i];
         if (e.matches(vpn)) {
             e.valid = false;
-            syncSlot(i);
-            ++stats_.invalidations;
+            syncSlot(i, 0);
         }
     }
 }
@@ -130,9 +114,8 @@ FullyAssocTlb::flush()
 {
     for (size_t i = 0; i < entries_.size(); ++i) {
         entries_[i].valid = false;
-        syncSlot(i);
+        syncSlot(i, 0);
     }
-    ++stats_.invalidations;
 }
 
 unsigned

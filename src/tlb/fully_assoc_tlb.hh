@@ -12,7 +12,6 @@
 #define TPS_TLB_FULLY_ASSOC_TLB_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tlb/any_size_tlb.hh"
@@ -23,17 +22,13 @@ namespace tps::tlb {
 class FullyAssocTlb : public AnySizeTlb
 {
   public:
-    /**
-     * @param name     Name for stat dumps.
-     * @param entries  Entry count.
-     */
-    FullyAssocTlb(std::string name, unsigned entries);
+    /** @param entries  Entry count. */
+    explicit FullyAssocTlb(unsigned entries);
 
-    /** Look up @p va; stats updated, LRU touched on hit. */
+    /** Look up @p va; LRU touched on hit. */
     TlbEntry *
     lookup(Vaddr va) override
     {
-        ++stats_.lookups;
         ++tick_;
         Vpn vpn = vm::vpnOf(va);
         // Hot compare over the packed (mask, tag) arrays; invalid
@@ -42,21 +37,17 @@ class FullyAssocTlb : public AnySizeTlb
         size_t n = tags_.size();
         for (size_t i = 0; i < n; ++i) {
             if ((vpn & ~masks_[i]) == tags_[i]) {
-                TlbEntry &e = entries_[i];
-                e.lastUse = tick_;
                 lastUses_[i] = tick_;
-                ++stats_.hits;
-                return &e;
+                return &entries_[i];
             }
         }
-        ++stats_.misses;
         return nullptr;
     }
 
-    /** Probe without disturbing LRU or stats. */
+    /** Probe without disturbing LRU. */
     const TlbEntry *probe(Vaddr va) const override;
 
-    /** Mutable probe without stats (for A/D updates after a fill). */
+    /** Mutable probe (for A/D updates after a fill). */
     TlbEntry *
     findMutable(Vaddr va) override
     {
@@ -79,9 +70,6 @@ class FullyAssocTlb : public AnySizeTlb
     /** Invalidate everything. */
     void flush() override;
 
-    const TlbStats &stats() const override { return stats_; }
-    void clearStats() override { stats_ = TlbStats{}; }
-    const std::string &name() const { return name_; }
     unsigned capacity() const override
     {
         return static_cast<unsigned>(entries_.size());
@@ -104,30 +92,28 @@ class FullyAssocTlb : public AnySizeTlb
     static constexpr Vpn kInvalidTag = ~Vpn(0);
 
     /**
-     * Mirror entries_[i]'s tag state into the packed arrays.  Invalid
-     * slots get stamp 0 -- below every valid stamp (ticks start at 1)
-     * -- so the fill victim scan is a plain first-minimum over
-     * lastUses_ with no separate invalid check.
+     * Mirror entries_[i]'s tag state into the packed arrays and set its
+     * LRU stamp to @p stamp.  Invalid slots take stamp 0 -- below every
+     * valid stamp (ticks start at 1) -- so the fill victim scan is a
+     * plain first-minimum over lastUses_ with no separate invalid check.
      */
     void
-    syncSlot(size_t i)
+    syncSlot(size_t i, uint64_t stamp)
     {
         const TlbEntry &e = entries_[i];
         masks_[i] = e.valid ? e.vpnMask : 0;
         tags_[i] = e.valid ? e.vpnTag : kInvalidTag;
-        lastUses_[i] = e.valid ? e.lastUse : 0;
+        lastUses_[i] = e.valid ? stamp : 0;
     }
 
-    std::string name_;
     std::vector<TlbEntry> entries_;
     // Structure-of-arrays shadow of (vpnMask, vpnTag) for the CAM
     // compare; kept in sync by fill/invalidate/flush.
     std::vector<uint64_t> masks_;
     std::vector<Vpn> tags_;
-    //! LRU-stamp shadow for the fill victim scan (valid slots only).
+    //! Per-slot LRU stamp (0 = invalid) for the fill victim scan.
     std::vector<uint64_t> lastUses_;
     uint64_t tick_ = 0;
-    TlbStats stats_;
 };
 
 } // namespace tps::tlb

@@ -13,17 +13,14 @@ RangeTlb::RangeTlb(unsigned entries)
 RangeEntry *
 RangeTlb::lookup(Vaddr va)
 {
-    ++stats_.lookups;
     ++tick_;
     Vpn vpn = vm::vpnOf(va);
     for (auto &r : ranges_) {
         if (r.covers(vpn)) {
             r.lastUse = tick_;
-            ++stats_.hits;
             return &r;
         }
     }
-    ++stats_.misses;
     return nullptr;
 }
 
@@ -61,23 +58,17 @@ RangeTlb::fill(const RangeEntry &entry)
         if (r.lastUse < victim->lastUse)
             victim = &r;
     }
-    if (victim->valid)
-        ++stats_.evictions;
     *victim = entry;
     victim->lastUse = tick_;
-    ++stats_.fills;
 }
 
 void
 RangeTlb::invalidate(Vaddr va)
 {
     Vpn vpn = vm::vpnOf(va);
-    for (auto &r : ranges_) {
-        if (r.covers(vpn)) {
+    for (auto &r : ranges_)
+        if (r.covers(vpn))
             r.valid = false;
-            ++stats_.invalidations;
-        }
-    }
 }
 
 void
@@ -85,7 +76,6 @@ RangeTlb::flush()
 {
     for (auto &r : ranges_)
         r.valid = false;
-    ++stats_.invalidations;
 }
 
 TlbEntry

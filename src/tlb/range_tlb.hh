@@ -47,7 +47,7 @@ class RangeTlb
     /** @param entries  Range-entry capacity (paper-scale: 32). */
     explicit RangeTlb(unsigned entries);
 
-    /** Look up the range covering @p va; stats + LRU updated. */
+    /** Look up the range covering @p va; LRU touched on a hit. */
     RangeEntry *lookup(Vaddr va);
 
     /** Probe without disturbing state. */
@@ -65,8 +65,6 @@ class RangeTlb
     /** Synthesize the base-page TLB entry for @p va from range @p r. */
     static TlbEntry makeBasePageEntry(Vaddr va, const RangeEntry &r);
 
-    const TlbStats &stats() const { return stats_; }
-    void clearStats() { stats_ = TlbStats{}; }
     unsigned capacity() const { return static_cast<unsigned>(ranges_.size()); }
     unsigned occupancy() const;
 
@@ -82,7 +80,6 @@ class RangeTlb
   private:
     std::vector<RangeEntry> ranges_;
     uint64_t tick_ = 0;
-    TlbStats stats_;
 };
 
 } // namespace tps::tlb

@@ -6,9 +6,9 @@
 
 namespace tps::tlb {
 
-SetAssocTlb::SetAssocTlb(std::string name, unsigned entries, unsigned ways,
+SetAssocTlb::SetAssocTlb(unsigned entries, unsigned ways,
                          std::vector<unsigned> page_bits_list)
-    : name_(std::move(name)), ways_(ways),
+    : ways_(ways),
       pageBitsList_(std::move(page_bits_list)),
       livePerSize_(vm::kMaxPageBits + 1, 0)
 {
@@ -75,29 +75,22 @@ SetAssocTlb::fill(const TlbEntry &entry)
     for (unsigned w = 0; w < ways_; ++w) {
         size_t i = slot0 + w;
         if (keys_[i] == needle) {
-            TlbEntry &e = entries_[i];
-            e = entry;
-            e.lastUse = tick_;
-            syncKey(i);
-            return &e;
+            entries_[i] = entry;
+            syncKey(i, tick_);
+            return &entries_[i];
         }
         bool older = lastUses_[i] < best;
         vi = older ? i : vi;
         best = older ? lastUses_[i] : best;
     }
     TlbEntry *victim = &entries_[vi];
-    if (victim->valid) {
-        if (--livePerSize_[victim->pageBits] == 0)
-            liveMask_ &=
-                ~(1u << (victim->pageBits - vm::kBasePageBits));
-        ++stats_.evictions;
-    }
+    if (victim->valid &&
+        --livePerSize_[victim->pageBits] == 0)
+        liveMask_ &= ~(1u << (victim->pageBits - vm::kBasePageBits));
     *victim = entry;
-    victim->lastUse = tick_;
-    syncKey(vi);
+    syncKey(vi, tick_);
     ++livePerSize_[entry.pageBits];
     liveMask_ |= 1u << (entry.pageBits - vm::kBasePageBits);
-    ++stats_.fills;
     return victim;
 }
 
@@ -111,10 +104,9 @@ SetAssocTlb::invalidate(Vaddr va)
         TlbEntry *e = findInSet(setIndex(va, pb), vpn, pb);
         if (e) {
             e->valid = false;
-            syncKey(static_cast<size_t>(e - entries_.data()));
+            syncKey(static_cast<size_t>(e - entries_.data()), 0);
             if (--livePerSize_[pb] == 0)
                 liveMask_ &= ~(1u << (pb - vm::kBasePageBits));
-            ++stats_.invalidations;
         }
     }
 }
@@ -128,7 +120,6 @@ SetAssocTlb::flush()
     std::fill(lastUses_.begin(), lastUses_.end(), 0);
     std::fill(livePerSize_.begin(), livePerSize_.end(), 0);
     liveMask_ = 0;
-    ++stats_.invalidations;
 }
 
 unsigned

@@ -17,7 +17,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "tlb/tlb_entry.hh"
@@ -29,22 +28,20 @@ class SetAssocTlb
 {
   public:
     /**
-     * @param name    Human-readable name for stat dumps.
      * @param entries Total entry count (sets * ways).
      * @param ways    Associativity; must divide entries.
      * @param page_bits_list  Page sizes (log2) this structure may hold.
      */
-    SetAssocTlb(std::string name, unsigned entries, unsigned ways,
+    SetAssocTlb(unsigned entries, unsigned ways,
                 std::vector<unsigned> page_bits_list);
 
     /**
      * Look up @p va.
-     * @return matching entry or nullptr; stats updated, LRU touched.
+     * @return matching entry or nullptr; LRU touched on a hit.
      */
     TlbEntry *
     lookup(Vaddr va)
     {
-        ++stats_.lookups;
         ++tick_;
         Vpn vpn = vm::vpnOf(va);
         // Kick off the key-line fetches for every live size before
@@ -72,22 +69,18 @@ class SetAssocTlb
             for (unsigned w = 0; w < ways_; ++w) {
                 if (keys[w] == needle) {
                     size_t i = set * ways_ + w;
-                    TlbEntry &e = entries_[i];
-                    e.lastUse = tick_;
                     lastUses_[i] = tick_;
-                    ++stats_.hits;
-                    return &e;
+                    return &entries_[i];
                 }
             }
         }
-        ++stats_.misses;
         return nullptr;
     }
 
-    /** Probe without disturbing LRU or stats (for tests/inspection). */
+    /** Probe without disturbing LRU (for tests/inspection). */
     const TlbEntry *probe(Vaddr va) const;
 
-    /** Mutable probe without stats (for A/D updates after a fill). */
+    /** Mutable probe (for A/D updates after a fill). */
     TlbEntry *
     findMutable(Vaddr va)
     {
@@ -110,9 +103,6 @@ class SetAssocTlb
     /** True iff this structure can hold a page of 2^@p page_bits. */
     bool supports(unsigned page_bits) const;
 
-    const TlbStats &stats() const { return stats_; }
-    void clearStats() { stats_ = TlbStats{}; }
-    const std::string &name() const { return name_; }
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
@@ -158,20 +148,20 @@ class SetAssocTlb
     }
 
     /**
-     * Mirror entries_[i]'s identity into the packed key array.
-     * Invalid slots get stamp 0 -- below every valid stamp (ticks
-     * start at 1) -- so the fill victim scan is a plain first-minimum
-     * over lastUses_ with no separate invalid check.
+     * Mirror entries_[i]'s identity into the packed key array and set
+     * its LRU stamp to @p stamp.  Invalid slots take stamp 0 -- below
+     * every valid stamp (ticks start at 1) -- so the fill victim scan
+     * is a plain first-minimum over lastUses_ with no separate invalid
+     * check.
      */
     void
-    syncKey(size_t i)
+    syncKey(size_t i, uint64_t stamp)
     {
         const TlbEntry &e = entries_[i];
         keys_[i] = e.valid ? keyOf(e.pageBits, e.vpnTag) : kInvalidKey;
-        lastUses_[i] = e.valid ? e.lastUse : 0;
+        lastUses_[i] = e.valid ? stamp : 0;
     }
 
-    std::string name_;
     unsigned sets_;
     unsigned ways_;
     std::vector<unsigned> pageBitsList_;
@@ -180,13 +170,12 @@ class SetAssocTlb
     std::vector<TlbEntry> entries_;   //!< sets_ x ways_, row-major
     //! Packed identity shadow of entries_ for the hot probe loop.
     std::vector<uint64_t> keys_;
-    //! LRU-stamp shadow for the fill victim scan (valid slots only).
+    //! Per-slot LRU stamp (0 = invalid) for the fill victim scan.
     std::vector<uint64_t> lastUses_;
     std::vector<uint64_t> livePerSize_; //!< indexed by page_bits
     //! Bit (pb - kBasePageBits) set iff livePerSize_[pb] > 0.
     uint32_t liveMask_ = 0;
     uint64_t tick_ = 0;
-    TlbStats stats_;
 };
 
 } // namespace tps::tlb

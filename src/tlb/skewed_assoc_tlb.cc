@@ -6,15 +6,14 @@
 
 namespace tps::tlb {
 
-SkewedAssocTlb::SkewedAssocTlb(std::string name, unsigned entries,
-                               unsigned ways)
-    : name_(std::move(name)), ways_(ways),
-      livePerSize_(vm::kMaxPageBits + 1, 0)
+SkewedAssocTlb::SkewedAssocTlb(unsigned entries, unsigned ways)
+    : ways_(ways), livePerSize_(vm::kMaxPageBits + 1, 0)
 {
     tps_assert(ways_ > 0 && entries > 0 && entries % ways_ == 0);
     sets_ = entries / ways_;
     tps_assert(isPowerOfTwo(sets_));
     entries_.resize(entries);
+    lastUses_.assign(entries, 0);
 }
 
 const TlbEntry *
@@ -26,7 +25,7 @@ SkewedAssocTlb::probe(Vaddr va) const
         if (livePerSize_[pb] == 0)
             continue;
         for (unsigned w = 0; w < ways_; ++w) {
-            const TlbEntry &e = slot(w, indexOf(w, va, pb));
+            const TlbEntry &e = entries_[slotIndex(w, indexOf(w, va, pb))];
             if (e.valid && e.pageBits == pb && e.matches(vpn))
                 return &e;
         }
@@ -50,35 +49,34 @@ SkewedAssocTlb::fill(const TlbEntry &entry)
 
     // Refill over a duplicate if resident.
     for (unsigned w = 0; w < ways_; ++w) {
-        TlbEntry &e = slot(w, indexOf(w, base, entry.pageBits));
+        size_t i = slotIndex(w, indexOf(w, base, entry.pageBits));
+        TlbEntry &e = entries_[i];
         if (e.valid && e.pageBits == entry.pageBits &&
             e.vpnTag == entry.vpnTag) {
             e = entry;
-            e.lastUse = tick_;
+            lastUses_[i] = tick_;
             return &e;
         }
     }
 
     // One candidate slot per way; prefer an invalid one, else LRU.
-    TlbEntry *victim = nullptr;
+    size_t vi = 0;
     for (unsigned w = 0; w < ways_; ++w) {
-        TlbEntry &e = slot(w, indexOf(w, base, entry.pageBits));
-        if (!e.valid) {
-            victim = &e;
+        size_t i = slotIndex(w, indexOf(w, base, entry.pageBits));
+        if (!entries_[i].valid) {
+            vi = i;
             break;
         }
-        if (!victim || e.lastUse < victim->lastUse)
-            victim = &e;
+        if (w == 0 || lastUses_[i] < lastUses_[vi])
+            vi = i;
     }
-    if (victim->valid) {
-        --livePerSize_[victim->pageBits];
-        ++stats_.evictions;
-    }
-    *victim = entry;
-    victim->lastUse = tick_;
+    TlbEntry &victim = entries_[vi];
+    if (victim.valid)
+        --livePerSize_[victim.pageBits];
+    victim = entry;
+    lastUses_[vi] = tick_;
     ++livePerSize_[entry.pageBits];
-    ++stats_.fills;
-    return victim;
+    return &victim;
 }
 
 void
@@ -90,11 +88,10 @@ SkewedAssocTlb::invalidate(Vaddr va)
             continue;
         Vpn vpn = vm::vpnOf(va);
         for (unsigned w = 0; w < ways_; ++w) {
-            TlbEntry &e = slot(w, indexOf(w, va, pb));
+            TlbEntry &e = entries_[slotIndex(w, indexOf(w, va, pb))];
             if (e.valid && e.pageBits == pb && e.matches(vpn)) {
                 e.valid = false;
                 --livePerSize_[pb];
-                ++stats_.invalidations;
             }
         }
     }
@@ -106,7 +103,6 @@ SkewedAssocTlb::flush()
     for (auto &e : entries_)
         e.valid = false;
     std::fill(livePerSize_.begin(), livePerSize_.end(), 0);
-    ++stats_.invalidations;
 }
 
 unsigned

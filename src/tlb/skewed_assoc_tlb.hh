@@ -16,7 +16,6 @@
 #define TPS_TLB_SKEWED_ASSOC_TLB_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tlb/any_size_tlb.hh"
@@ -28,16 +27,14 @@ class SkewedAssocTlb : public AnySizeTlb
 {
   public:
     /**
-     * @param name     Name for stat dumps.
      * @param entries  Total entries (sets-per-way x ways).
      * @param ways     Number of skewed ways.
      */
-    SkewedAssocTlb(std::string name, unsigned entries, unsigned ways);
+    SkewedAssocTlb(unsigned entries, unsigned ways);
 
     TlbEntry *
     lookup(Vaddr va) override
     {
-        ++stats_.lookups;
         ++tick_;
         Vpn vpn = vm::vpnOf(va);
         for (unsigned pb = vm::kBasePageBits; pb <= vm::kMaxPageBits;
@@ -45,15 +42,14 @@ class SkewedAssocTlb : public AnySizeTlb
             if (livePerSize_[pb] == 0)
                 continue;
             for (unsigned w = 0; w < ways_; ++w) {
-                TlbEntry &e = slot(w, indexOf(w, va, pb));
+                size_t i = slotIndex(w, indexOf(w, va, pb));
+                TlbEntry &e = entries_[i];
                 if (e.valid && e.pageBits == pb && e.matches(vpn)) {
-                    e.lastUse = tick_;
-                    ++stats_.hits;
+                    lastUses_[i] = tick_;
                     return &e;
                 }
             }
         }
-        ++stats_.misses;
         return nullptr;
     }
 
@@ -63,15 +59,12 @@ class SkewedAssocTlb : public AnySizeTlb
     void invalidate(Vaddr va) override;
     void flush() override;
 
-    const TlbStats &stats() const override { return stats_; }
-    void clearStats() override { stats_ = TlbStats{}; }
     unsigned capacity() const override
     {
         return static_cast<unsigned>(entries_.size());
     }
     unsigned occupancy() const override;
 
-    const std::string &name() const { return name_; }
     unsigned ways() const { return ways_; }
 
     void
@@ -102,23 +95,20 @@ class SkewedAssocTlb : public AnySizeTlb
             mix(key + way * 0x9e3779b97f4a7c15ull) & (sets_ - 1));
     }
 
-    /** Slot reference for (way, index). */
-    TlbEntry &slot(unsigned way, unsigned idx)
+    /** Position of (way, index) in entries_ and lastUses_. */
+    size_t
+    slotIndex(unsigned way, unsigned idx) const
     {
-        return entries_[way * sets_ + idx];
-    }
-    const TlbEntry &slot(unsigned way, unsigned idx) const
-    {
-        return entries_[way * sets_ + idx];
+        return static_cast<size_t>(way) * sets_ + idx;
     }
 
-    std::string name_;
     unsigned ways_;
     unsigned sets_;   //!< sets per way
     std::vector<TlbEntry> entries_;
+    //! Per-slot LRU stamp; read only for valid slots.
+    std::vector<uint64_t> lastUses_;
     std::vector<uint64_t> livePerSize_;
     uint64_t tick_ = 0;
-    TlbStats stats_;
 };
 
 } // namespace tps::tlb

@@ -40,7 +40,6 @@ struct TlbEntry
     bool accessed = false; //!< cached A bit (suppresses PTE A writes)
     bool dirty = false;    //!< cached D bit (suppresses PTE D writes)
     Paddr truePtePaddr = 0; //!< where A/D updates must be written
-    uint64_t lastUse = 0;  //!< LRU timestamp, maintained by the structure
 
     /** Build an entry from a decoded leaf. */
     static TlbEntry
@@ -78,17 +77,6 @@ struct TlbEntry
 
     /** VA of the first byte of the mapped page. */
     Vaddr pageBase() const { return vpnTag << vm::kBasePageBits; }
-};
-
-/** Statistics common to all TLB structures. */
-struct TlbStats
-{
-    uint64_t lookups = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t fills = 0;
-    uint64_t evictions = 0;
-    uint64_t invalidations = 0;
 };
 
 } // namespace tps::tlb

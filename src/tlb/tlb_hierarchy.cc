@@ -27,7 +27,7 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyConfig &cfg)
                                             cfg_.coltWays);
     } else {
         l1Small_ = std::make_unique<SetAssocTlb>(
-            "L1D-4K", cfg_.l1SmallEntries, cfg_.l1SmallWays,
+            cfg_.l1SmallEntries, cfg_.l1SmallWays,
             std::vector<unsigned>{vm::kPageBits4K});
     }
 
@@ -36,78 +36,25 @@ TlbHierarchy::TlbHierarchy(const TlbHierarchyConfig &cfg)
         // skewed-associative variant is the paper's cited alternative.
         if (cfg_.tpsTlbSkewed) {
             tpsL1_ = std::make_unique<SkewedAssocTlb>(
-                "L1D-TPS-skew", cfg_.tpsTlbEntries,
-                cfg_.tpsTlbSkewWays);
+                cfg_.tpsTlbEntries, cfg_.tpsTlbSkewWays);
         } else {
-            tpsL1_ = std::make_unique<FullyAssocTlb>(
-                "L1D-TPS", cfg_.tpsTlbEntries);
+            tpsL1_ = std::make_unique<FullyAssocTlb>(cfg_.tpsTlbEntries);
         }
     } else {
-        l1Large_ = std::make_unique<FullyAssocTlb>("L1D-2M",
-                                                   cfg_.l1LargeEntries);
-        l1Huge_ = std::make_unique<FullyAssocTlb>("L1D-1G",
-                                                  cfg_.l1HugeEntries);
+        l1Large_ = std::make_unique<FullyAssocTlb>(cfg_.l1LargeEntries);
+        l1Huge_ = std::make_unique<FullyAssocTlb>(cfg_.l1HugeEntries);
     }
 
     std::vector<unsigned> stlb_sizes =
         cfg_.design == TlbDesign::Tps
             ? allPageSizes()
             : std::vector<unsigned>{vm::kPageBits4K, vm::kPageBits2M};
-    stlb_ = std::make_unique<SetAssocTlb>("STLB", cfg_.stlbEntries,
-                                          cfg_.stlbWays, stlb_sizes);
-    stlbHuge_ = std::make_unique<FullyAssocTlb>("STLB-1G",
-                                                cfg_.stlbHugeEntries);
+    stlb_ = std::make_unique<SetAssocTlb>(cfg_.stlbEntries, cfg_.stlbWays,
+                                          stlb_sizes);
+    stlbHuge_ = std::make_unique<FullyAssocTlb>(cfg_.stlbHugeEntries);
 
     if (cfg_.design == TlbDesign::Rmm)
         rangeTlb_ = std::make_unique<RangeTlb>(cfg_.rangeTlbEntries);
-}
-
-TlbLookupResult
-TlbHierarchy::lookupL1(Vaddr va)
-{
-    TlbLookupResult res;
-    if (coltL1_) {
-        if (ColtEntry *ce = coltL1_->lookup(va)) {
-            res.level = TlbHitLevel::L1;
-            res.fromColt = true;
-            res.paddr = ColtTlb::translate(va, *ce);
-            return res;
-        }
-    }
-    if (l1Small_) {
-        if (TlbEntry *e = l1Small_->lookup(va)) {
-            res.level = TlbHitLevel::L1;
-            res.entry = e;
-            res.paddr = e->translate(va);
-            return res;
-        }
-    }
-    if (tpsL1_) {
-        if (TlbEntry *e = tpsL1_->lookup(va)) {
-            res.level = TlbHitLevel::L1;
-            res.entry = e;
-            res.paddr = e->translate(va);
-            return res;
-        }
-    }
-    if (l1Large_) {
-        if (TlbEntry *e = l1Large_->lookup(va)) {
-            res.level = TlbHitLevel::L1;
-            res.entry = e;
-            res.paddr = e->translate(va);
-            return res;
-        }
-    }
-    if (l1Huge_) {
-        if (TlbEntry *e = l1Huge_->lookup(va)) {
-            res.level = TlbHitLevel::L1;
-            res.entry = e;
-            res.paddr = e->translate(va);
-            return res;
-        }
-    }
-    res.level = TlbHitLevel::Miss;
-    return res;
 }
 
 TlbEntry *
@@ -151,20 +98,34 @@ TlbHierarchy::installL1(const TlbEntry &entry)
 TlbLookupResult
 TlbHierarchy::lookup(Vaddr va)
 {
-    ++stats_.accesses;
-    TlbLookupResult res = lookupL1(va);
-    if (res.level == TlbHitLevel::L1) {
-        ++stats_.l1Hits;
-        return res;
+    if (coltL1_) {
+        if (ColtEntry *ce = coltL1_->lookup(va))
+            return coltHit(va, *ce);
     }
-    ++stats_.l1Misses;
-    return lookupL2Tail(va, res);
+    if (l1Small_) {
+        if (TlbEntry *e = l1Small_->lookup(va))
+            return l1Hit(va, e);
+    }
+    if (tpsL1_) {
+        if (TlbEntry *e = tpsL1_->lookup(va))
+            return l1Hit(va, e);
+    }
+    if (l1Large_) {
+        if (TlbEntry *e = l1Large_->lookup(va))
+            return l1Hit(va, e);
+    }
+    if (l1Huge_) {
+        if (TlbEntry *e = l1Huge_->lookup(va))
+            return l1Hit(va, e);
+    }
+    return lookupL2Tail(va);
 }
 
 TlbLookupResult
-TlbHierarchy::lookupL2Tail(Vaddr va, TlbLookupResult res)
+TlbHierarchy::lookupL2Tail(Vaddr va)
 {
     // L2: STLB (and, for RMM, the range TLB in parallel).
+    TlbLookupResult res;
     TlbEntry *stlb_hit = nullptr;
     if (stlb_)
         stlb_hit = stlb_->lookup(va);
@@ -173,15 +134,12 @@ TlbHierarchy::lookupL2Tail(Vaddr va, TlbLookupResult res)
     RangeEntry *range_hit = rangeTlb_ ? rangeTlb_->lookup(va) : nullptr;
 
     if (stlb_hit) {
-        ++stats_.l2Hits;
         res.level = TlbHitLevel::L2;
         res.entry = installL1(*stlb_hit);
         res.paddr = stlb_hit->translate(va);
         return res;
     }
     if (range_hit) {
-        ++stats_.l2Hits;
-        ++stats_.rangeHits;
         res.level = TlbHitLevel::L2;
         res.fromRange = true;
         TlbEntry constructed = RangeTlb::makeBasePageEntry(va, *range_hit);
@@ -192,9 +150,6 @@ TlbHierarchy::lookupL2Tail(Vaddr va, TlbLookupResult res)
         res.paddr = constructed.translate(va);
         return res;
     }
-
-    ++stats_.misses;
-    res.level = TlbHitLevel::Miss;
     return res;
 }
 
@@ -255,28 +210,6 @@ TlbHierarchy::flushAll()
         stlbHuge_->flush();
     if (rangeTlb_)
         rangeTlb_->flush();
-}
-
-void
-TlbHierarchy::clearStats()
-{
-    stats_ = TlbHierarchyStats{};
-    if (l1Small_)
-        l1Small_->clearStats();
-    if (coltL1_)
-        coltL1_->clearStats();
-    if (tpsL1_)
-        tpsL1_->clearStats();
-    if (l1Large_)
-        l1Large_->clearStats();
-    if (l1Huge_)
-        l1Huge_->clearStats();
-    if (stlb_)
-        stlb_->clearStats();
-    if (stlbHuge_)
-        stlbHuge_->clearStats();
-    if (rangeTlb_)
-        rangeTlb_->clearStats();
 }
 
 } // namespace tps::tlb

@@ -85,17 +85,6 @@ struct TlbLookupResult
     Paddr paddr = 0;            //!< translation (valid on hit)
 };
 
-/** Hierarchy-level counters (the paper's figure inputs). */
-struct TlbHierarchyStats
-{
-    uint64_t accesses = 0;
-    uint64_t l1Hits = 0;
-    uint64_t l1Misses = 0;   //!< the paper's "L1 DTLB misses"
-    uint64_t l2Hits = 0;     //!< STLB or range-TLB hits
-    uint64_t rangeHits = 0;  //!< subset of l2Hits from the range TLB
-    uint64_t misses = 0;     //!< full misses -> page walks
-};
-
 /** The composed hierarchy. */
 class TlbHierarchy
 {
@@ -130,64 +119,30 @@ class TlbHierarchy
     TlbLookupResult
     lookupFast(Vaddr va)
     {
-        ++stats_.accesses;
-        TlbLookupResult res;
         if constexpr (HasColt) {
-            if (ColtEntry *ce = coltL1_->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.fromColt = true;
-                res.paddr = ColtTlb::translate(va, *ce);
-                ++stats_.l1Hits;
-                return res;
-            }
+            if (ColtEntry *ce = coltL1_->lookup(va))
+                return coltHit(va, *ce);
         }
         if constexpr (HasSmall) {
-            if (TlbEntry *e = l1Small_->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.entry = e;
-                res.paddr = e->translate(va);
-                ++stats_.l1Hits;
-                return res;
-            }
+            if (TlbEntry *e = l1Small_->lookup(va))
+                return l1Hit(va, e);
         }
         if constexpr (TpsKind == 1) {
             auto *tps = static_cast<FullyAssocTlb *>(tpsL1_.get());
-            if (TlbEntry *e = tps->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.entry = e;
-                res.paddr = e->translate(va);
-                ++stats_.l1Hits;
-                return res;
-            }
+            if (TlbEntry *e = tps->lookup(va))
+                return l1Hit(va, e);
         } else if constexpr (TpsKind == 2) {
             auto *tps = static_cast<SkewedAssocTlb *>(tpsL1_.get());
-            if (TlbEntry *e = tps->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.entry = e;
-                res.paddr = e->translate(va);
-                ++stats_.l1Hits;
-                return res;
-            }
+            if (TlbEntry *e = tps->lookup(va))
+                return l1Hit(va, e);
         }
         if constexpr (HasLarge) {
-            if (TlbEntry *e = l1Large_->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.entry = e;
-                res.paddr = e->translate(va);
-                ++stats_.l1Hits;
-                return res;
-            }
-            if (TlbEntry *e = l1Huge_->lookup(va)) {
-                res.level = TlbHitLevel::L1;
-                res.entry = e;
-                res.paddr = e->translate(va);
-                ++stats_.l1Hits;
-                return res;
-            }
+            if (TlbEntry *e = l1Large_->lookup(va))
+                return l1Hit(va, e);
+            if (TlbEntry *e = l1Huge_->lookup(va))
+                return l1Hit(va, e);
         }
-        res.level = TlbHitLevel::Miss;
-        ++stats_.l1Misses;
-        return lookupL2Tail(va, res);
+        return lookupL2Tail(va);
     }
 
     /**
@@ -201,10 +156,6 @@ class TlbHierarchy
 
     /** Flush every structure (full TLB flush / context switch). */
     void flushAll();
-
-    const TlbHierarchyStats &stats() const { return stats_; }
-    void clearStats();
-
 
     /** Record shootdown/flush events into @p trace (nullptr = off). */
     void setEventTrace(obs::EventTrace *trace) { trace_ = trace; }
@@ -227,9 +178,9 @@ class TlbHierarchy
 
     /**
      * Visit every cached page-granular translation in every structure,
-     * without disturbing replacement state or stats.  Coalesced (CoLT)
-     * runs and RMM ranges have their own shapes; use forEachColtRun()
-     * and forEachRange() for those.
+     * without disturbing replacement state.  Coalesced (CoLT) runs and
+     * RMM ranges have their own shapes; use forEachColtRun() and
+     * forEachRange() for those.
      */
     void
     forEachEntry(const std::function<void(const TlbEntry &)> &visit) const
@@ -267,15 +218,33 @@ class TlbHierarchy
     }
 
   private:
-    /** Probe only the L1 structures. */
-    TlbLookupResult lookupL1(Vaddr va);
+    /** The result of an L1 hit on @p e. */
+    static TlbLookupResult
+    l1Hit(Vaddr va, TlbEntry *e)
+    {
+        TlbLookupResult res;
+        res.level = TlbHitLevel::L1;
+        res.entry = e;
+        res.paddr = e->translate(va);
+        return res;
+    }
+
+    /** The result of an L1 hit on the coalesced run @p ce. */
+    static TlbLookupResult
+    coltHit(Vaddr va, const ColtEntry &ce)
+    {
+        TlbLookupResult res;
+        res.level = TlbHitLevel::L1;
+        res.fromColt = true;
+        res.paddr = ColtTlb::translate(va, ce);
+        return res;
+    }
 
     /**
-     * The L2 half of a lookup: STLB/range probe, L1 install, counter
-     * updates.  @p res is the L1-miss result being completed.  Shared
-     * by lookup() and lookupFast().
+     * The L2 half of a lookup after an L1 miss: STLB/range probe and
+     * L1 install.  Shared by lookup() and lookupFast().
      */
-    TlbLookupResult lookupL2Tail(Vaddr va, TlbLookupResult res);
+    TlbLookupResult lookupL2Tail(Vaddr va);
 
     /** Route @p entry to the right L1 structure and return its copy. */
     TlbEntry *installL1(const TlbEntry &entry);
@@ -289,7 +258,6 @@ class TlbHierarchy
     std::unique_ptr<SetAssocTlb> stlb_;
     std::unique_ptr<FullyAssocTlb> stlbHuge_;
     std::unique_ptr<RangeTlb> rangeTlb_;
-    TlbHierarchyStats stats_;
     obs::EventTrace *trace_ = nullptr;
 };
 

@@ -22,7 +22,6 @@ MmuCache::prefixOf(Vaddr va, unsigned level)
 unsigned
 MmuCache::lookup(Vaddr va, uint64_t generation, PageTableNode *&node)
 {
-    ++stats_.lookups;
     ++tick_;
     // Probe deepest first: a PDE-cache hit saves the most accesses.
     // The scan compares the packed (prefix, generation) arrays only;
@@ -37,7 +36,6 @@ MmuCache::lookup(Vaddr va, uint64_t generation, PageTableNode *&node)
                 Entry &e = lc.entries[i];
                 e.lastUse = tick_;
                 node = e.node;
-                ++stats_.hits[level];
                 return level;
             }
         }
@@ -79,7 +77,6 @@ MmuCache::fill(Vaddr va, unsigned level, uint64_t generation,
     victim->standIn.reset();
     victim->lastUse = tick_;
     lc.sync(static_cast<size_t>(victim - entries.data()));
-    ++stats_.fills;
 }
 
 void
@@ -92,7 +89,6 @@ MmuCache::invalidateAll()
             lc.sync(i);
         }
     }
-    ++stats_.invalidations;
 }
 
 void
@@ -109,7 +105,6 @@ MmuCache::invalidate(Vaddr va)
             }
         }
     }
-    ++stats_.invalidations;
 }
 
 void

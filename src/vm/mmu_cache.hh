@@ -27,16 +27,6 @@ namespace tps::vm {
 
 struct PageTableNode;
 
-/** Per-level MMU-cache hit statistics. */
-struct MmuCacheStats
-{
-    uint64_t lookups = 0;
-    //! hits[l] counts hits in the level-(l) cache, l in [2, kLevels].
-    uint64_t hits[kLevels + 1] = {};
-    uint64_t fills = 0;
-    uint64_t invalidations = 0;
-};
-
 /** Geometry of the split MMU caches (entries per cached level). */
 struct MmuCacheConfig
 {
@@ -84,8 +74,8 @@ class MmuCache
      * The sparse page table is about to release @p node's host object
      * (its PTEs are all zero).  Entries pointing at it are repointed to
      * an owned empty stand-in with the same frame, so later hits read
-     * the very bytes the dense table would serve -- no tag, stat, or
-     * LRU state moves.
+     * the very bytes the dense table would serve -- no tag or LRU
+     * state moves.
      */
     void onNodeReleased(const PageTableNode *node);
 
@@ -97,9 +87,6 @@ class MmuCache
      * (whose node object never changed identity) would.
      */
     void onNodeMaterialized(PageTableNode *node);
-
-    const MmuCacheStats &stats() const { return stats_; }
-
 
   private:
     struct Entry
@@ -150,7 +137,6 @@ class MmuCache
     //! Caches indexed by level (2..kLevels); slots 0/1 unused.
     LevelCache levels_[kLevels + 1];
     uint64_t tick_ = 0;
-    MmuCacheStats stats_;
 };
 
 } // namespace tps::vm

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -342,6 +343,35 @@ TEST(CliContract, AblationsRunsEachCellIdentityOnce)
     }
     EXPECT_EQ(cells.size(), 13u);
     EXPECT_EQ(identities.size(), 13u);
+}
+
+TEST(CliContract, ResumeCountsRestoredCellsOfThisGrid)
+{
+    // The resume line counts this grid's cells found in the manifest,
+    // not the cells the file holds: another seed is another cell, so a
+    // manifest whose seeds were edited restores none.
+    std::string manifest = tempPath("fig10_resume_count.json");
+    std::string bench = std::string(FIG10_BIN) +
+                        " --benchmarks=gups --scale=0.01 --phys-gb=1"
+                        " --stats-json=" + manifest;
+    ASSERT_EQ(run(bench).exitCode, 0);
+    Cmd same = run(bench + " --resume");
+    ASSERT_EQ(same.exitCode, 0) << same.err;
+    EXPECT_NE(same.err.find("resuming: 4 of 4 cells restored from " +
+                            manifest),
+              std::string::npos)
+        << same.err;
+
+    // Drop the last digit of every seed.
+    std::string text = slurp(manifest);
+    std::ofstream(manifest) << std::regex_replace(
+        text, std::regex(R"(("seed": [0-9]+)[0-9])"), "$1");
+    Cmd edited = run(bench + " --resume");
+    std::remove(manifest.c_str());
+    ASSERT_EQ(edited.exitCode, 0) << edited.err;
+    EXPECT_NE(edited.err.find("resuming: 0 of 4 cells restored"),
+              std::string::npos)
+        << edited.err;
 }
 
 TEST(CliContract, ShardPrintsOnlyOwnedCells)

@@ -130,17 +130,5 @@ TEST_F(MmuCacheTest, RefillUpdatesExistingEntry)
     EXPECT_EQ(node, fakeNode(1));
 }
 
-TEST_F(MmuCacheTest, StatsTrackHitsPerLevel)
-{
-    MmuCache cache;
-    cache.fill(0x1000000, 3, 0, fakeNode(0));
-    PageTableNode *node = nullptr;
-    cache.lookup(0x1000000, 0, node);
-    cache.lookup(0x9000000000, 0, node);   // miss
-    EXPECT_EQ(cache.stats().lookups, 2u);
-    EXPECT_EQ(cache.stats().hits[3], 1u);
-    EXPECT_EQ(cache.stats().hits[2], 0u);
-}
-
 } // namespace
 } // namespace tps::vm

@@ -166,7 +166,10 @@ TEST(Mmu, RmmRangeTlbRefilledAfterWalk)
         EXPECT_NE(res.level, tlb::TlbHitLevel::Miss) << i;
     }
     EXPECT_EQ(rig.mmu.stats().walks, walks);
-    EXPECT_GT(rig.mmu.tlbs().stats().rangeHits, 0u);
+    // An untouched page of the range is an L2 hit in the range TLB.
+    tlb::TlbLookupResult r = rig.mmu.tlbs().lookup(va + 0x3ff000);
+    EXPECT_EQ(r.level, tlb::TlbHitLevel::L2);
+    EXPECT_TRUE(r.fromRange);
 }
 
 TEST(Mmu, ShootdownOnMunmapDropsTranslations)

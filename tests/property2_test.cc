@@ -108,8 +108,8 @@ TEST(Property, FullyAssocAndSkewedAgreeOnResidentEntries)
 {
     // Whatever the skewed TLB holds must translate identically to the
     // fully associative reference (contents may differ; values not).
-    tlb::FullyAssocTlb fa("fa", 64);
-    tlb::SkewedAssocTlb sk("sk", 64, 4);
+    tlb::FullyAssocTlb fa(64);
+    tlb::SkewedAssocTlb sk(64, 4);
     Pcg32 rng(0x7EE);
     for (int i = 0; i < 2000; ++i) {
         unsigned pb = 12 + rng.below(10);
@@ -134,7 +134,7 @@ TEST(Property, FullyAssocAndSkewedAgreeOnResidentEntries)
 
 TEST(Property, SetAssocProbeAgreesWithLookup)
 {
-    tlb::SetAssocTlb tlb("t", 64, 4, {12, 21});
+    tlb::SetAssocTlb tlb(64, 4, {12, 21});
     Pcg32 rng(0x5E7);
     for (int i = 0; i < 3000; ++i) {
         unsigned pb = rng.chance(0.8) ? 12 : 21;

@@ -1,7 +1,7 @@
 /**
  * @file
  * TLB-hierarchy tests: per-design structure composition, L1/L2 routing,
- * fills, the RMM parallel range-TLB path, shootdowns and stat counters.
+ * fills, the RMM parallel range-TLB path and shootdowns.
  */
 
 #include <gtest/gtest.h>
@@ -70,9 +70,7 @@ TEST(Hierarchy, MissThenFillThenL1Hit)
     auto hit = h.lookup(0x5123);
     EXPECT_EQ(hit.level, TlbHitLevel::L1);
     EXPECT_EQ(hit.paddr, (0x55ull << 12) + 0x123);
-    EXPECT_EQ(h.stats().accesses, 2u);
-    EXPECT_EQ(h.stats().l1Hits, 1u);
-    EXPECT_EQ(h.stats().l1Misses, 1u);
+    EXPECT_EQ(hit.entry, h.l1Small()->probe(0x5000));
 }
 
 TEST(Hierarchy, L2HitRefillsL1)
@@ -130,14 +128,15 @@ TEST(Hierarchy, RangeTlbProvidesL2Hit)
     r.writable = true;
     h.rangeTlb()->fill(r);
 
+    // A range hit is still an L1 miss (the paper's RMM point): the
+    // page is absent from L1 until the hit installs it.
+    EXPECT_EQ(h.l1Small()->probe(0x150ull << 12), nullptr);
     auto res = h.lookup(0x150ull << 12);
     EXPECT_EQ(res.level, TlbHitLevel::L2);
     EXPECT_TRUE(res.fromRange);
     EXPECT_EQ(res.paddr, (0x150ull + 0x1000) << 12);
-    EXPECT_EQ(h.stats().rangeHits, 1u);
-    // A range hit still counts as an L1 miss (the paper's RMM point).
-    EXPECT_EQ(h.stats().l1Misses, 1u);
     // The constructed base page is now in L1.
+    EXPECT_EQ(res.entry, h.l1Small()->probe(0x150ull << 12));
     EXPECT_EQ(h.lookup(0x150ull << 12).level, TlbHitLevel::L1);
 }
 
@@ -189,17 +188,6 @@ TEST(Hierarchy, HugePagesUseHugeStlb)
     EXPECT_EQ(res.level, TlbHitLevel::L2);
 }
 
-TEST(Hierarchy, StatsClearResetsEverything)
-{
-    TlbHierarchy h(TlbHierarchyConfig{});
-    h.fill(0x5000, makeEntry(0x5000, 0x55, 12));
-    h.lookup(0x5000);
-    h.clearStats();
-    EXPECT_EQ(h.stats().accesses, 0u);
-    EXPECT_EQ(h.stats().l1Hits, 0u);
-    EXPECT_EQ(h.l1Small()->stats().lookups, 0u);
-}
-
 } // namespace
 } // namespace tps::tlb
 
@@ -247,14 +235,16 @@ TEST(HierarchyExtra, FillRoutesTailoredSizesToStlbInTpsDesign)
 TEST(HierarchyExtra, StatsDistinguishMissKinds)
 {
     TlbHierarchy h(TlbHierarchyConfig{});
-    h.lookup(0xdead000);   // full miss
+    auto miss = h.lookup(0xdead000);   // full miss
+    EXPECT_EQ(miss.level, TlbHitLevel::Miss);
+    EXPECT_EQ(miss.entry, nullptr);
+    EXPECT_FALSE(miss.fromRange);
     h.fill(0x1000, makeEntry(0x1000, 0x1, 12));
-    h.lookup(0x1000);      // L1 hit
-    EXPECT_EQ(h.stats().accesses, 2u);
-    EXPECT_EQ(h.stats().l1Hits, 1u);
-    EXPECT_EQ(h.stats().l1Misses, 1u);
-    EXPECT_EQ(h.stats().misses, 1u);
-    EXPECT_EQ(h.stats().l2Hits, 0u);
+    auto hit = h.lookup(0x1000);       // L1 hit
+    EXPECT_EQ(hit.level, TlbHitLevel::L1);
+    EXPECT_FALSE(hit.fromRange);
+    // A full miss installs nothing anywhere.
+    EXPECT_EQ(h.lookup(0xdead000).level, TlbHitLevel::Miss);
 }
 
 } // namespace
