@@ -31,10 +31,8 @@ BuddyAllocator::BuddyAllocator(uint64_t total_frames, bool dense)
         pfn += block;
         remaining -= block;
     }
-    if (dense) {
-        while (runStart_ < runEnd_)
-            materializeOne();
-    }
+    if (dense)
+        materializeAll();
 }
 
 void
@@ -50,6 +48,13 @@ BuddyAllocator::materializeOne()
     tps_assert(runStart_ < runEnd_);
     insertFree(runStart_, kMaxOrder);
     runStart_ += 1ull << kMaxOrder;
+}
+
+void
+BuddyAllocator::materializeAll()
+{
+    while (runStart_ < runEnd_)
+        materializeOne();
 }
 
 void

@@ -62,6 +62,8 @@ struct BuddyStats
     uint64_t splits = 0;        //!< blocks split to satisfy allocations
     uint64_t merges = 0;        //!< buddy pairs merged on free
     uint64_t failedAllocs = 0;  //!< allocations that found no block
+
+    bool operator==(const BuddyStats &) const = default;
 };
 
 /** The buddy allocator. */
@@ -139,6 +141,15 @@ class BuddyAllocator
 
     const BuddyStats &stats() const { return stats_; }
     void clearStats() { stats_ = BuddyStats{}; }
+    /** Overwrite the counters (restoring a recorded state). */
+    void restoreStats(const BuddyStats &stats) { stats_ = stats; }
+
+    /**
+     * Move every implicit block onto the explicit lists, as the dense
+     * mode does at construction.  Only implicitBlocks() tells the
+     * difference: no allocation, query or counter changes.
+     */
+    void materializeAll();
 
     /**
      * Visit every free block of @p order in ascending address order

@@ -2,13 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "util/logging.hh"
+#include "util/memo.hh"
 
 namespace tps::os {
 
+namespace {
+
+/** What run() leaves behind on a pristine memory. */
+struct AgedMemory
+{
+    std::vector<Fragmenter::Block> held;
+    BuddyStats stats;
+    Pcg32 rng;
+};
+
+/** Frame count, dense (fully materialized) free lists, config. */
+using AgedKey = std::tuple<uint64_t, bool, FragmenterConfig>;
+
+util::Memo<AgedKey, std::shared_ptr<const AgedMemory>> &
+agedMemo()
+{
+    static util::Memo<AgedKey, std::shared_ptr<const AgedMemory>> memo;
+    return memo;
+}
+
+constexpr uint64_t kStream = 0x777;
+
+} // namespace
+
 Fragmenter::Fragmenter(PhysMemory &pm, FragmenterConfig cfg)
-    : pm_(pm), cfg_(cfg), rng_(cfg.seed, 0x777)
+    : pm_(pm), cfg_(cfg), rng_(cfg.seed, kStream)
 {
     tps_assert(cfg_.targetFreeFraction > 0.0 &&
                cfg_.targetFreeFraction < 1.0);
@@ -41,8 +67,64 @@ Fragmenter::sampleOrder()
     return 0;
 }
 
+const std::vector<Fragmenter::Block> &
+Fragmenter::held() const
+{
+    static const std::vector<Block> none;
+    return held_ ? *held_ : none;
+}
+
+bool
+Fragmenter::pristine() const
+{
+    // Fresh from construction: every frame free (so the free lists are
+    // the maximal blocks), the implicit run untouched (sparse) or
+    // wholly explicit (dense), no counter moved, and no draw made.
+    const BuddyAllocator &buddy = pm_.buddy();
+    uint64_t implicit = buddy.implicitBlocks();
+    return buddy.usedFrames() == 0 && buddy.stats() == BuddyStats{} &&
+           (implicit == 0 ||
+            implicit == buddy.totalFrames() >> BuddyAllocator::kMaxOrder) &&
+           held().empty() && rng_ == Pcg32(cfg_.seed, kStream);
+}
+
 void
 Fragmenter::run()
+{
+    BuddyAllocator &buddy = pm_.buddy();
+    if (!pristine()) {
+        std::vector<Block> held = this->held();
+        age(held);
+        held_ = std::make_shared<const std::vector<Block>>(std::move(held));
+        return;
+    }
+    bool built = false;
+    std::shared_ptr<const AgedMemory> aged = agedMemo().get(
+        {buddy.totalFrames(), buddy.implicitBlocks() == 0, cfg_}, [&] {
+            auto state = std::make_shared<AgedMemory>();
+            age(state->held);
+            state->held.shrink_to_fit();  // resident for the process
+            state->stats = buddy.stats();
+            state->rng = rng_;
+            built = true;
+            return std::shared_ptr<const AgedMemory>(std::move(state));
+        });
+    held_ = std::shared_ptr<const std::vector<Block>>(aged, &aged->held);
+    if (built)
+        return;
+    // Replay.  Aging ends with the implicit run empty (phase 1 fills
+    // memory), so materialize whatever the held blocks left of it.
+    for (auto [pfn, order] : aged->held) {
+        bool carved = buddy.allocSpecific(pfn, order);
+        tps_assert(carved);
+    }
+    buddy.materializeAll();
+    buddy.restoreStats(aged->stats);
+    rng_ = aged->rng;
+}
+
+void
+Fragmenter::age(std::vector<Block> &held)
 {
     BuddyAllocator &buddy = pm_.buddy();
     uint64_t total = buddy.totalFrames();
@@ -63,7 +145,7 @@ Fragmenter::run()
                 break;
             order = 0;
         }
-        held_.push_back({*pfn, order});
+        held.push_back({*pfn, order});
     }
 
     // Phase 2: churn -- free random survivors, allocate replacements --
@@ -79,45 +161,45 @@ Fragmenter::run()
         else
             do_free = rng_.chance(0.5);
         if (do_free) {
-            if (held_.empty())
+            if (held.empty())
                 continue;
-            size_t idx = rng_.below(static_cast<uint32_t>(held_.size()));
-            auto [pfn, order] = held_[idx];
+            size_t idx = rng_.below(static_cast<uint32_t>(held.size()));
+            auto [pfn, order] = held[idx];
             buddy.free(pfn, order);
-            held_[idx] = held_.back();
-            held_.pop_back();
+            held[idx] = held.back();
+            held.pop_back();
         } else {
             unsigned order = sampleOrder();
             auto pfn = buddy.alloc(order);
             if (pfn)
-                held_.push_back({*pfn, order});
+                held.push_back({*pfn, order});
         }
     }
 
     // Phase 3: trim to the target free fraction -- release random
     // survivors if too full, absorb free memory if too empty.
-    while (free_fraction() < cfg_.targetFreeFraction && !held_.empty()) {
-        size_t idx = rng_.below(static_cast<uint32_t>(held_.size()));
-        auto [pfn, order] = held_[idx];
+    while (free_fraction() < cfg_.targetFreeFraction && !held.empty()) {
+        size_t idx = rng_.below(static_cast<uint32_t>(held.size()));
+        auto [pfn, order] = held[idx];
         buddy.free(pfn, order);
-        held_[idx] = held_.back();
-        held_.pop_back();
+        held[idx] = held.back();
+        held.pop_back();
     }
     while (free_fraction() > cfg_.targetFreeFraction * 1.05) {
         unsigned order = sampleOrder();
         auto pfn = buddy.alloc(order);
         if (!pfn)
             break;
-        held_.push_back({*pfn, order});
+        held.push_back({*pfn, order});
     }
 }
 
 void
 Fragmenter::releaseAll()
 {
-    for (auto [pfn, order] : held_)
+    for (auto [pfn, order] : held())
         pm_.buddy().free(pfn, order);
-    held_.clear();
+    held_.reset();
 }
 
 } // namespace tps::os

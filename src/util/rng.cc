@@ -1,7 +1,11 @@
 #include "util/rng.hh"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
+
+#include "util/memo.hh"
 
 namespace tps {
 
@@ -47,10 +51,31 @@ namespace {
  */
 constexpr uint64_t kExactZetaCap = 1u << 20;
 
+/** Normalisers by (n, theta's bit pattern), built once per process. */
+util::Memo<std::pair<uint64_t, uint64_t>, double> &
+zetaMemo()
+{
+    static util::Memo<std::pair<uint64_t, uint64_t>, double> memo;
+    return memo;
+}
+
 } // namespace
 
 double
 ZipfSampler::zeta(uint64_t n, double theta)
+{
+    return zetaMemo().get({n, std::bit_cast<uint64_t>(theta)},
+                          [&] { return zetaSum(n, theta); });
+}
+
+uint64_t
+ZipfSampler::zetaBuilds()
+{
+    return zetaMemo().builds();
+}
+
+double
+ZipfSampler::zetaSum(uint64_t n, double theta)
 {
     uint64_t exact = n < kExactZetaCap ? n : kExactZetaCap;
     double sum = 0.0;
@@ -81,7 +106,7 @@ ZipfSampler::ZipfSampler(uint64_t n, double theta)
     }
     alpha_ = 1.0 / (1.0 - theta_);
     zetan_ = zeta(n_, theta_);
-    zeta2_ = zeta(2, theta_);
+    zeta2_ = zetaSum(2, theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
            (1.0 - zeta2_ / zetan_);
 }

@@ -152,7 +152,8 @@ class Pcg32
 /**
  * A Zipf-distributed integer sampler over [0, n) with parameter theta,
  * using the Gray/Jim rejection-inversion-free CDF-table-free method for
- * moderate n (precomputes the normalization constant only).
+ * moderate n (precomputes the normalization constant only, and sums it
+ * once per (n, theta) per process: every sampler of a key shares it).
  *
  * Used by the DBx1000-like workload (YCSB skew) and by locality-shaped
  * synthetic SPEC generators.
@@ -168,6 +169,11 @@ class ZipfSampler
 
     uint64_t universe() const { return n_; }
     double theta() const { return theta_; }
+    /** The normaliser H(n, theta) (0 when theta <= 0). */
+    double zetan() const { return zetan_; }
+
+    /** Normaliser sums computed so far in this process (tests). */
+    static uint64_t zetaBuilds();
 
   private:
     uint64_t n_;
@@ -177,7 +183,10 @@ class ZipfSampler
     double eta_;
     double zeta2_;
 
+    /** zetaSum(n, theta), summed once per (n, theta) per process. */
     static double zeta(uint64_t n, double theta);
+    /** The generalized harmonic number H(n, theta). */
+    static double zetaSum(uint64_t n, double theta);
 };
 
 } // namespace tps

@@ -41,7 +41,8 @@ class Dbx1000 : public WorkloadBase
     void refillPending() override;
 
     Dbx1000Config cfg_;
-    //! Built at setup: its zeta sum is up to 2^20 pow() calls.
+    //! Built at setup; its zeta sum (up to 2^20 pow() calls) is
+    //! summed once per process for each (rows, zipfTheta).
     std::unique_ptr<ZipfSampler> zipf_;
     uint64_t buckets_ = 0;
 

@@ -1,29 +1,16 @@
 #include "workloads/graph500.hh"
 
 #include <algorithm>
-#include <future>
-#include <map>
-#include <mutex>
 #include <thread>
 #include <tuple>
 
 #include "util/logging.hh"
+#include "util/memo.hh"
 #include "util/task_pool.hh"
 
 namespace tps::workloads {
 
 namespace {
-
-using CsrPtr = std::shared_ptr<const Graph500::Csr>;
-
-/**
- * Memoized host-side graphs, keyed by (scale, edgeFactor, seed).  The
- * first caller for a key inserts a future under the lock and builds
- * outside it; later callers for that key wait on the future.
- */
-std::map<std::tuple<unsigned, unsigned, uint64_t>,
-         std::shared_future<CsrPtr>> graph_cache;
-std::mutex graph_cache_mutex;
 
 /**
  * Quadrant bounds as thresholds on the raw 64-bit draw r.  uniform()
@@ -185,33 +172,15 @@ void
 Graph500::buildGraph()
 {
     n_ = 1ull << cfg_.scale;
-    auto key = std::make_tuple(cfg_.scale, cfg_.edgeFactor, cfg_.seed);
-    std::promise<CsrPtr> promise;
-    std::shared_future<CsrPtr> graph;
-    bool build = false;
-    {
-        std::lock_guard<std::mutex> lock(graph_cache_mutex);
-        auto [it, inserted] = graph_cache.try_emplace(key);
-        if (inserted)
-            it->second = promise.get_future().share();
-        graph = it->second;
-        build = inserted;
-    }
-    if (build) {
-        try {
-            promise.set_value(
-                buildCsr(cfg_.scale, cfg_.edgeFactor, cfg_.seed));
-        } catch (...) {
-            // Only std::bad_alloc gets here.  Drop the entry so a later
-            // call rebuilds, then fail this caller and every waiter.
-            {
-                std::lock_guard<std::mutex> lock(graph_cache_mutex);
-                graph_cache.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-        }
-    }
-    csr_ = graph.get();
+    // Host-side graphs, keyed by (scale, edgeFactor, seed).  A build
+    // throws only std::bad_alloc; the memo then drops the key.
+    static util::Memo<std::tuple<unsigned, unsigned, uint64_t>,
+                      std::shared_ptr<const Csr>>
+        graphs;
+    csr_ = graphs.get(
+        std::make_tuple(cfg_.scale, cfg_.edgeFactor, cfg_.seed), [&] {
+            return buildCsr(cfg_.scale, cfg_.edgeFactor, cfg_.seed);
+        });
     visited_.assign(n_, false);
 }
 

@@ -15,9 +15,9 @@
  * the seed, so the THP, TPS, CoLT and RMM cells of a figure row, and
  * the perfect-TLB cells of a Fig. 13/14 speedup pipeline, traverse the
  * same CSR (an SMT competitor, seeded apart, builds its own).  The
- * memo builds each key's graph once per process,
- * outside its lock: concurrent setups of the same key wait for that
- * one build, setups of different keys build concurrently.
+ * memo is a util::Memo: it builds each key's graph once per process,
+ * concurrent setups of the same key wait for that one build, and
+ * setups of different keys build concurrently.
  *
  * One build runs on every host core (buildCsr()): the edge stream is
  * cut into contiguous blocks, one per thread, and each thread starts

@@ -147,5 +147,22 @@ class StatsLineTest(unittest.TestCase):
                          "stats differ at seeds 100")
 
 
+class ArgsTest(unittest.TestCase):
+    def test_defaults_are_five_pairs_from_seed_100(self):
+        args = perf_ab.parse_args(["HEAD~1"])
+        self.assertEqual((args.base_ref, args.pairs, args.seed0),
+                         ("HEAD~1", 5, 100))
+
+    def test_pairs_and_seed0(self):
+        args = perf_ab.parse_args(["main", "--pairs", "10", "--seed0",
+                                   "200"])
+        self.assertEqual((args.base_ref, args.pairs, args.seed0),
+                         ("main", 10, 200))
+
+    def test_fewer_than_two_pairs_is_refused(self):
+        with self.assertRaises(SystemExit):
+            perf_ab.parse_args(["main", "--pairs", "1"])
+
+
 if __name__ == "__main__":
     unittest.main()

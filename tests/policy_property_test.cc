@@ -93,8 +93,9 @@ TEST_P(PolicyProperty, InvariantsUnderRandomTouching)
             uint64_t page =
                 p.sequential ? i : rng.below64(pages);
             vm::Vaddr addr = va + (page << vm::kBasePageBits);
-            if (!as.pageTable().lookup(addr))
+            if (!as.pageTable().lookup(addr)) {
                 ASSERT_TRUE(as.handleFault(addr, true));
+            }
             auto res = as.pageTable().lookup(addr);
             ASSERT_TRUE(res.has_value());
             vm::Paddr pa =

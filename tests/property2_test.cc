@@ -126,9 +126,10 @@ TEST(Property, FullyAssocAndSkewedAgreeOnResidentEntries)
 
         vm::Vaddr probe = base + rng.below64(1ull << pb);
         const tlb::TlbEntry *hs = sk.probe(probe);
-        if (hs)
+        if (hs) {
             ASSERT_EQ(hs->translate(probe),
                       (leaf.pfn << 12) + vm::pageOffset(probe, pb));
+        }
     }
 }
 
@@ -148,8 +149,9 @@ TEST(Property, SetAssocProbeAgreesWithLookup)
         const tlb::TlbEntry *p = tlb.probe(base);
         tlb::TlbEntry *l = tlb.lookup(base);
         ASSERT_EQ(p != nullptr, l != nullptr);
-        if (p)
+        if (p) {
             ASSERT_EQ(p->pfn, l->pfn);
+        }
     }
 }
 

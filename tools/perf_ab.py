@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
 """Same-host speed gate: this checkout against a base ref.
 
-    python3 tools/perf_ab.py <base-ref>
+    python3 tools/perf_ab.py <base-ref> [--pairs N] [--seed0 S]
 
 Checks <base-ref> out into a temporary git worktree and runs the
 benchmark BENCHMARK.json declares (perfbench/run.py) there and in this
 checkout, on every workload at the file's run_seconds with --trace 0.
-Runs go in PAIRS interleaved pairs: pair i runs seed SEED0 + i on both
-sides, and the side that runs first alternates from pair to pair, so a
-slow spell on the host lands on both sides alike.
+Runs go in --pairs interleaved pairs (default 5): pair i runs seed
+--seed0 + i (default 100) on both sides, and the side that runs first
+alternates from pair to pair, so a slow spell on the host lands on both
+sides alike.
+
+Seed 108 of the fragmented workload fails on every tree: gcc's cells
+keep stale TLB entries after munmap (ROADMAP item 1) and the run
+reports correct: false.  So from the default seed0, 9 or more pairs
+report FAIL for any change; run such an A/B at --seed0 200 (seeds
+200-209 for 10 pairs).
 
 For each workload and end-to-end metric it prints the base's median
 and IQR, this checkout's median, the change in percent and in how many
@@ -28,6 +35,7 @@ informational and leaves the verdict alone, since a correctness fix
 moves statistics on purpose.
 """
 
+import argparse
 import json
 import os
 import statistics
@@ -36,8 +44,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = 5
-SEED0 = 100
 
 
 def compare(metric, base, change):
@@ -128,23 +134,44 @@ def parse_run(stdout):
     return result
 
 
-def measure(spec, base_root):
+def measure(spec, base_root, pairs, seed0):
     """{workload: {"base": [...], "change": [...]}}, one run per pair."""
     sides = [("base", base_root), ("change", ROOT)]
     runs = {w["name"]: {"base": [], "change": []} for w in spec["workloads"]}
-    for pair in range(PAIRS):
+    for pair in range(pairs):
         order = sides if pair % 2 == 0 else sides[::-1]
         for workload in runs:
             for side, root in order:
                 runs[workload][side].append(
-                    run_bench(spec, root, workload, SEED0 + pair))
+                    run_bench(spec, root, workload, seed0 + pair))
     return runs
 
 
-def main():
-    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
-        sys.exit("usage: python3 tools/perf_ab.py <base-ref>")
-    base_ref = sys.argv[1]
+def pair_count(text):
+    value = int(text)
+    if value < 2:
+        # A median and an IQR need two runs per side.
+        raise argparse.ArgumentTypeError(f"must be at least 2: {text}")
+    return value
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(
+        prog="tools/perf_ab.py",
+        description="Same-host speed gate: this checkout against a base "
+                    "ref.")
+    parser.add_argument("base_ref", help="git ref of the base side")
+    parser.add_argument("--pairs", type=pair_count, default=5,
+                        help="interleaved pairs per workload (default 5)")
+    parser.add_argument("--seed0", type=int, default=100,
+                        help="seed of the first pair; pair i runs "
+                             "seed0 + i (default 100)")
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    base_ref, pairs, seed0 = args.base_ref, args.pairs, args.seed0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
 
@@ -153,13 +180,13 @@ def main():
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
                         base_root, base_ref], stdout=sys.stderr, check=True)
         try:
-            runs = measure(spec, base_root)
+            runs = measure(spec, base_root, pairs, seed0)
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove",
                             "--force", base_root], stdout=sys.stderr)
 
-    print(f"{PAIRS} interleaved pairs per workload, seeds {SEED0}-"
-          f"{SEED0 + PAIRS - 1}, {spec['run_seconds']} s runs; "
+    print(f"{pairs} interleaved pairs per workload, seeds {seed0}-"
+          f"{seed0 + pairs - 1}, {spec['run_seconds']} s runs; "
           f"base = {base_ref}")
     print(f"{'workload':<12} {'metric':<20} {'base median':>12} "
           f"{'base IQR':>10} {'change':>12} {'delta':>8} {'wins':>5}  "
@@ -171,9 +198,9 @@ def main():
         for r in rows:
             print(f"{workload:<12} {r['metric']:<20} {r['base']:>12.5g} "
                   f"{r['iqr']:>10.3g} {r['change']:>12.5g} "
-                  f"{r['delta_pct']:>+7.1f}% {r['wins']:>3}/{PAIRS}  "
+                  f"{r['delta_pct']:>+7.1f}% {r['wins']:>3}/{pairs}  "
                   f"{r['verdict']}")
-        seeds = range(SEED0, SEED0 + PAIRS)
+        seeds = range(seed0, seed0 + pairs)
         print(f"{workload:<12} "
               f"{stats_line(seeds, sides['base'], sides['change'])}")
         for p in problems:
